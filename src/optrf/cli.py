@@ -43,6 +43,7 @@ from .tasks import (
     bayes_error_estimate,
     certify_task,
     classification_error,
+    evaluate,
     f_star,
     format_task,
     function_distances,
@@ -57,6 +58,11 @@ from .tasks import (
     sweep_error_vs_M,
     sweep_error_vs_N,
 )
+
+# ``optrf eval`` reaches predict, f_star, classification_error,
+# function_distances and regularized_empirical_loss through tasks.evaluate;
+# they stay importable from this module because perfbench/worker.py's CLI
+# span shim wraps each of them here by name.
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -327,6 +333,8 @@ _TRAIN_OPTS = [
 def _cmd_train(args):
     v = _resolve(args)
     _check_out(v["out"], v["force"])
+    if v["trace"]:
+        _check_out(v["trace"], v["force"])
     task = load_task(v["task"])
     fs = load_feature_set(v["features"])
     lam = v["lam"] if v["lam"] is not None else fs.lam
@@ -338,9 +346,13 @@ def _cmd_train(args):
                       f_norm=f_norm, eta_c=v["eta_c"])
     rng = np.random.default_rng(v["seed"])
     clf, trace = train(fs, labeled_stream(task, v["n"], rng), cfg)
+    if trace.q_min_holds is False:
+        print(f"warning: q_min={cfg.q_min!r} exceeds the smallest sampled "
+              f"density ratio {trace.q_floor!r}; the convergence guarantee "
+              f"assumes q_min <= q(v) for every feature", file=sys.stderr)
     atomic_write(v["out"], format_classifier(clf), force=True)
     if v["trace"]:
-        atomic_write(v["trace"], trace.to_csv(), force=v["force"])
+        atomic_write(v["trace"], trace.to_csv(), force=True)
     print(f"wrote {v['out']} (N={v['n']}, lambda={lam!r}, "
           f"final |alpha|={float(np.linalg.norm(clf.alpha)):.6f})")
     return EXIT_OK
@@ -372,20 +384,13 @@ def _cmd_eval(args):
     start = time.perf_counter()
     X = gen_inputs(task, v["n_test"], rng)
     y = sample_label(task, X, rng)
-    fhat = predict(clf, X)
-    fref = f_star(task, X)
-    class_err = classification_error(fhat, y)
-    bayes_err = classification_error(fref, y)
-    l2, linf = function_distances(fhat, fref)
-    loss = regularized_empirical_loss(clf, X, y, lam, v["q_min"])
+    quality = evaluate(task, clf, X, y, lam, v["q_min"])
     rec = MetricsRecord(
         task=task.name, mode=clf.feature_set.mode, dim=task.dim,
         gamma=task.kern.gamma, delta=task.delta, lam=lam,
         m=clf.feature_set.num_features, n=v["n_train"], trial=v["trial"],
-        seed=v["seed"], class_err=class_err, bayes_err=bayes_err,
-        excess_err=class_err - bayes_err, l2=l2, linf=linf, loss=loss,
-        accept_rate=v["accept_rate"],
-        wall_ms=(time.perf_counter() - start) * 1e3,
+        seed=v["seed"], accept_rate=v["accept_rate"],
+        wall_ms=(time.perf_counter() - start) * 1e3, **quality,
     )
     append_csv_row(v["out"], RECORD_COLUMNS, rec.to_csv_row())
     print(rec.to_csv_row())

@@ -14,6 +14,21 @@ size decays as eta_c / (mu (t+1)) with strong-convexity modulus
 mu = lam M q_min, iterates are projected onto the ball of radius
 2 sqrt(2) f_norm / sqrt(M q_min), and the returned coefficients are the
 average of the last N/2 iterates.
+
+Each step costs a few length-2M vector operations and no norm.  Every
+feature row has ||phi(x)||^2 = M because cos^2 + sin^2 = 1, so the update
+alpha' = a alpha + b phi with a = 1 - 2 eta mu and b = -2 eta (f(x) - y)
+has
+
+    ||alpha'||^2 = a^2 ||alpha||^2 + 2 a b f(x) + b^2 M,
+
+and the step already holds f(x).  That one tracked scalar decides when the
+projection must be checked, feeds the trace's loss and alpha_norm columns,
+and turns non-finite as soon as alpha does.  It is recomputed exactly as
+alpha . alpha (which also checks finiteness) whenever it nears or leaves
+the ball, after every projection, and at every 1024-row chunk boundary, so
+its rounding drift stays within one chunk.  Feature rows are built one
+chunk at a time; no N x 2M matrix is ever held.
 """
 
 from __future__ import annotations
@@ -24,9 +39,13 @@ from itertools import islice
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import daxpy, ddot, dscal
 
 from .errors import ConfigError, StreamExhausted
 from .features import FeatureSet, feature_pair
+
+_CHUNK = 1024          # rows per feature-matrix chunk and norm resync
+_NSQ_GUARD = 1e-9      # relative band below radius^2 checked exactly
 
 
 class _Counter:
@@ -35,8 +54,8 @@ class _Counter:
     def __init__(self):
         self.count = 0
 
-    def bump(self):
-        self.count += 1
+    def bump(self, k: int = 1):
+        self.count += k
 
     def reset(self):
         self.count = 0
@@ -133,10 +152,14 @@ def predict(clf: Classifier, X) -> np.ndarray:
 
 
 def regularized_empirical_loss(clf: Classifier, X, y, lam: float,
-                               q_min: float) -> float:
-    """(1/n) sum (y - f(x))^2 + lam M q_min ||alpha||^2."""
+                               q_min: float, fhat=None) -> float:
+    """(1/n) sum (y - f(x))^2 + lam M q_min ||alpha||^2.
+
+    ``fhat`` may carry the predictions predict(clf, X), saving a second
+    feature matrix; the result is the same to the bit.
+    """
     y = np.asarray(y, dtype=float)
-    resid = y - predict(clf, X)
+    resid = y - (predict(clf, X) if fhat is None else fhat)
     reg = lam * clf.feature_set.num_features * q_min
     return float((resid**2).mean() + reg * (clf.alpha @ clf.alpha))
 
@@ -191,6 +214,11 @@ class TrainTrace:
     Row t (0-based) describes iterate alpha^(t) just before update t:
     its instantaneous regularized sample loss, its norm, the step size
     eta^(t), and whether the update's projection actually rescaled.
+
+    ``q_floor`` is the smallest sampling density ratio among the features
+    (None when the feature set carries no leverage values), and
+    ``q_min_holds`` says whether the guarantee's hypothesis
+    q_min <= q(v) held for every sampled frequency (None when unknown).
     """
 
     t: np.ndarray
@@ -199,6 +227,8 @@ class TrainTrace:
     eta: np.ndarray
     projected: np.ndarray
     iterates: np.ndarray | None = field(default=None, repr=False)
+    q_floor: float | None = None
+    q_min_holds: bool | None = None
 
     def to_csv(self) -> str:
         lines = ["t,loss,alpha_norm,eta,projected"]
@@ -210,71 +240,130 @@ class TrainTrace:
         return "\n".join(lines) + "\n"
 
 
+def _exact_nsq(alpha: np.ndarray, t: int) -> float:
+    """||alpha||^2 computed exactly; raises if alpha left the finite range."""
+    nsq = float(alpha @ alpha)
+    if not math.isfinite(nsq):
+        raise RuntimeError(f"non-finite update at iteration {t}")
+    return nsq
+
+
+def _pair_chunks(stream, n: int):
+    """Exactly n pairs from ``stream``, in order, as (X, y) chunk arrays."""
+    it = iter(stream)
+    t = 0
+    while t < n:
+        chunk = list(islice(it, min(_CHUNK, n - t)))
+        if not chunk:
+            raise StreamExhausted(
+                f"stream ended after {t} examples; {n} were promised"
+            )
+        yield (np.array([p[0] for p in chunk], dtype=float),
+               np.array([p[1] for p in chunk], dtype=float))
+        t += len(chunk)
+
+
 def train(fs: FeatureSet, stream, cfg: TrainConfig,
           keep_iterates: bool = False) -> tuple[Classifier, TrainTrace]:
     """Single pass of projected SGD over exactly N examples from ``stream``.
 
     ``stream`` is an iterable of (x, y) pairs; exactly ``cfg.stream_length``
     of them are consumed, in order.  Raises StreamExhausted if the stream
-    runs dry early and RuntimeError (with the iteration index) if an update
-    produces non-finite coefficients.  Returns the suffix-averaged
-    classifier (2/N) sum of iterates N/2+1 ... N and the trace.
+    runs dry early; otherwise behaves as ``train_arrays`` on the same pairs.
     """
+    return _train(fs, _pair_chunks(stream, cfg.stream_length), cfg,
+                  keep_iterates)
+
+
+def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
+                 keep_iterates: bool = False) -> tuple[Classifier, TrainTrace]:
+    """Single pass of projected SGD over the N rows of X with labels y.
+
+    Raises RuntimeError (with the iteration index) if an update produces
+    non-finite coefficients.  Returns the suffix-averaged classifier
+    (2/N) sum of iterates N/2+1 ... N and the trace.
+    """
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=float)
+    n = cfg.stream_length
+    if X.ndim != 2 or X.shape[0] != n or y.shape != (n,):
+        raise ConfigError(
+            f"need {n} examples as an (N, D) array and N labels, got "
+            f"shapes {X.shape} and {y.shape}"
+        )
+    chunks = ((X[s:s + _CHUNK], y[s:s + _CHUNK]) for s in range(0, n, _CHUNK))
+    return _train(fs, chunks, cfg, keep_iterates)
+
+
+def _train(fs: FeatureSet, chunks, cfg: TrainConfig,
+           keep_iterates: bool) -> tuple[Classifier, TrainTrace]:
+    """The SGD loop over (X, y) chunks; see the module docstring."""
     if fs.num_features != cfg.num_features:
         raise ConfigError(
             f"feature set has M={fs.num_features} but config says "
             f"{cfg.num_features}"
         )
     n = cfg.stream_length
-    dim2 = 2 * cfg.num_features
-    reg2 = 2.0 * cfg.mu
-    inv_mu = cfg.eta_c / cfg.mu
+    m = cfg.num_features
+    mu = cfg.mu
+    two_mu = 2.0 * mu
     radius = cfg.radius
+    # the tracked norm only decides whether to check exactly; the guard
+    # band keeps its rounding drift from hiding a projection
+    r2_guard = radius * radius * (1.0 - _NSQ_GUARD)
+    etas = cfg.eta_c / mu / np.arange(1, n + 1)
 
-    alpha = np.zeros(dim2)
-    suffix = np.zeros(dim2)
-    trace_loss = np.empty(n)
-    trace_norm = np.empty(n)
-    trace_eta = np.empty(n)
-    trace_proj = np.zeros(n, dtype=bool)
-    iterates = np.empty((n, dim2)) if keep_iterates else None
+    half = n // 2
+    alpha = np.zeros(2 * m)
+    suffix = np.zeros(2 * m)
+    nsq = 0.0
+    resids = np.empty(n)
+    nsqs = np.empty(n)
+    projected = []
+    iterates = np.empty((n, 2 * m)) if keep_iterates else None
 
-    it = iter(stream)
+    # BLAS level-1 calls update alpha and suffix in place; on vectors this
+    # short they cost a fraction of the equivalent numpy expressions
     t = 0
-    while t < n:
-        chunk = list(islice(it, min(1024, n - t)))
-        if not chunk:
-            raise StreamExhausted(
-                f"stream ended after {t} examples; {n} were promised"
-            )
-        X = np.array([p[0] for p in chunk], dtype=float)
-        ys = np.array([p[1] for p in chunk], dtype=float)
+    for X, ys in chunks:
         Phi = feature_matrix(fs, X)
-        for i in range(len(chunk)):
-            phi = Phi[i]
-            g, pred = _grad_terms(phi, alpha, ys[i], reg2)
-            eta = inv_mu / (t + 1)
-            resid = pred - ys[i]
-            trace_loss[t] = resid * resid + cfg.mu * (alpha @ alpha)
-            trace_norm[t] = np.linalg.norm(alpha)
-            trace_eta[t] = eta
-            alpha = alpha - eta * g
-            norm = float(np.linalg.norm(alpha))
-            if norm > radius:
-                alpha *= radius / norm
-                trace_proj[t] = True
-            if not np.all(np.isfinite(alpha)):
-                raise RuntimeError(f"non-finite update at iteration {t}")
+        for phi, y, eta in zip(Phi, ys.tolist(), etas[t:t + len(ys)].tolist()):
+            pred = ddot(phi, alpha)
+            resid = pred - y
+            resids[t] = resid
+            nsqs[t] = nsq
+            a = 1.0 - eta * two_mu
+            b = -2.0 * eta * resid
+            alpha = daxpy(phi, dscal(a, alpha), a=b)
+            nsq = a * a * nsq + 2.0 * a * b * pred + b * b * m
+            if not 0.0 <= nsq <= r2_guard:
+                nsq = _exact_nsq(alpha, t)
+                norm = math.sqrt(nsq)
+                if norm > radius:
+                    alpha *= radius / norm
+                    nsq = _exact_nsq(alpha, t)
+                    projected.append(t)
             if iterates is not None:
                 iterates[t] = alpha
             # iterate t+1 joins the suffix average when t+1 >= N/2 + 1
-            if t >= n // 2:
-                suffix += alpha
+            if t >= half:
+                suffix = daxpy(alpha, suffix)
             t += 1
+        nsq = _exact_nsq(alpha, t - 1)
+        PREFACTOR_EVALS.bump(len(ys))
 
+    proj = np.zeros(n, dtype=bool)
+    proj[projected] = True
+    # the leverage values are the density actually sampled, so they already
+    # include the bottom-raised mixture when that was used
+    q_floor = (None if fs.leverage_values is None
+               else float(fs.leverage_values.min()))
     final = (2.0 / n) * suffix
-    trace = TrainTrace(t=np.arange(n), loss=trace_loss, alpha_norm=trace_norm,
-                       eta=trace_eta, projected=trace_proj, iterates=iterates)
+    trace = TrainTrace(t=np.arange(n), loss=np.square(resids) + mu * nsqs,
+                       alpha_norm=np.sqrt(nsqs), eta=etas, projected=proj,
+                       iterates=iterates, q_floor=q_floor,
+                       q_min_holds=None if q_floor is None
+                       else cfg.q_min <= q_floor)
     return Classifier(feature_set=fs, alpha=final), trace
 
 

@@ -33,7 +33,7 @@ from .sgd import (
     predict,
     regularized_empirical_loss,
     theorem_lambda,
-    train,
+    train_arrays,
 )
 
 _CERTIFY_PROBES = 10_000
@@ -334,6 +334,25 @@ def function_distances(fhat_values, fstar_values) -> tuple[float, float]:
     return float(np.sqrt((diff**2).mean())), float(np.abs(diff).max())
 
 
+def evaluate(task: SyntheticTask, clf: Classifier, X, y, lam: float,
+             q_min: float) -> dict[str, float]:
+    """Quality fields of a MetricsRecord for a classifier on a test set.
+
+    Builds the test feature matrix once: the regularized loss reuses the
+    predictions, to the same bits as regularized_empirical_loss.
+    """
+    fhat = predict(clf, X)
+    fref = f_star(task, X)
+    class_err = classification_error(fhat, y)
+    bayes_err = classification_error(fref, y)
+    l2, linf = function_distances(fhat, fref)
+    return {
+        "class_err": class_err, "bayes_err": bayes_err,
+        "excess_err": class_err - bayes_err, "l2": l2, "linf": linf,
+        "loss": regularized_empirical_loss(clf, X, y, lam, q_min, fhat=fhat),
+    }
+
+
 RECORD_COLUMNS = (
     "task,mode,D,gamma,delta,lambda,M,N,trial,seed,class_err,bayes_err,"
     "excess_err,l2,linf,loss,accept_rate,wall_ms"
@@ -436,17 +455,33 @@ def resolve_lambda(task: SyntheticTask, cfg: CellConfig) -> float:
                           cfg.c_lambda)
 
 
-def labeled_stream(task: SyntheticTask, n: int, rng: np.random.Generator,
-                   chunk: int = 1024):
-    """Yield exactly n fresh (x, y) pairs drawn from the task."""
+def _labeled_chunks(task: SyntheticTask, n: int, rng: np.random.Generator,
+                    chunk: int):
+    """Exactly n fresh labeled examples as (X, y) arrays of up to chunk rows."""
     remaining = n
     while remaining > 0:
         take = min(chunk, remaining)
         X = gen_inputs(task, take, rng)
-        y = sample_label(task, X, rng)
-        for i in range(take):
-            yield X[i], y[i]
+        yield X, sample_label(task, X, rng)
         remaining -= take
+
+
+def labeled_stream(task: SyntheticTask, n: int, rng: np.random.Generator,
+                   chunk: int = 1024):
+    """Yield exactly n fresh (x, y) pairs drawn from the task."""
+    for X, y in _labeled_chunks(task, n, rng, chunk):
+        yield from zip(X, y)
+
+
+def labeled_arrays(task: SyntheticTask, n: int, rng: np.random.Generator,
+                   chunk: int = 1024) -> tuple[np.ndarray, np.ndarray]:
+    """The n pairs ``labeled_stream`` would yield, as (X, y) arrays.
+
+    Draws in the same chunks and RNG order, so the arrays equal the
+    stream's pairs stacked, bit for bit.
+    """
+    Xs, ys = zip(*_labeled_chunks(task, n, rng, chunk))
+    return np.concatenate(Xs), np.concatenate(ys)
 
 
 def resampling_stream(X, y, n: int, rng: np.random.Generator):
@@ -490,23 +525,17 @@ def run_cell(task: SyntheticTask, mode: str, m: int, n: int, trial: int,
 
     tcfg = TrainConfig(lam=lam, num_features=m, stream_length=n,
                        q_min=cfg.q_min, f_norm=task.f_norm, eta_c=cfg.eta_c)
-    clf, _ = train(fs, labeled_stream(task, n, r_stream), tcfg)
+    X, y = labeled_arrays(task, n, r_stream)
+    clf, _ = train_arrays(fs, X, y, tcfg)
 
     X_test = gen_inputs(task, cfg.n_test, r_test)
     y_test = sample_label(task, X_test, r_test)
-    fhat = predict(clf, X_test)
-    fref = f_star(task, X_test)
-    class_err = classification_error(fhat, y_test)
-    bayes_err = classification_error(fref, y_test)
-    l2, linf = function_distances(fhat, fref)
-    loss = regularized_empirical_loss(clf, X_test, y_test, lam, cfg.q_min)
+    quality = evaluate(task, clf, X_test, y_test, lam, cfg.q_min)
     wall_ms = (time.perf_counter() - start) * 1e3
     return MetricsRecord(
         task=task.name, mode=mode, dim=task.dim, gamma=task.kern.gamma,
         delta=task.delta, lam=lam, m=m, n=n, trial=trial, seed=seed,
-        class_err=class_err, bayes_err=bayes_err,
-        excess_err=class_err - bayes_err, l2=l2, linf=linf, loss=loss,
-        accept_rate=accept_rate, wall_ms=wall_ms,
+        accept_rate=accept_rate, wall_ms=wall_ms, **quality,
     )
 
 

@@ -183,6 +183,35 @@ def test_train_takes_lambda_from_optimized_features(ws):
     assert load_classifier(out).feature_set.lam is not None
 
 
+def test_train_checks_every_output_before_training(ws, capsys):
+    taken = ws / "taken_trace.csv"
+    taken.write_text("keep\n")
+    out = ws / "clf_blocked.txt"
+    assert run("train", "--task", ws / "task.txt", "--features", ws / "conv.txt",
+               "--n", 20, "--lam", 0.02, "--trace", taken,
+               "--out", out) == EXIT_IO
+    assert "taken_trace.csv" in capsys.readouterr().err
+    assert not out.exists()
+    assert taken.read_text() == "keep\n"
+
+
+def test_train_warns_when_q_min_exceeds_the_sampled_density(ws, capsys):
+    feats = ws / "opt_default.txt"
+    assert run("sample-features", "--task", ws / "task.txt", "--m", 8,
+               "--out", feats) == EXIT_OK
+    floor = float(load_feature_set(feats).leverage_values.min())
+    assert floor < 1.0
+    capsys.readouterr()
+    assert run("train", "--task", ws / "task.txt", "--features", feats,
+               "--n", 20, "--out", ws / "clf_q1.txt") == EXIT_OK
+    err = capsys.readouterr().err
+    assert "warning: q_min=1.0" in err and repr(floor) in err
+    assert run("train", "--task", ws / "task.txt", "--features", feats,
+               "--n", 20, "--q-min", repr(floor),
+               "--out", ws / "clf_qfloor.txt") == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_train_rejects_odd_stream_length(ws):
     assert run("train", "--task", ws / "task.txt", "--features", ws / "conv.txt",
                "--n", 7, "--lam", 0.02, "--out", ws / "odd.txt") == EXIT_CONFIG

@@ -1,12 +1,17 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 
 from optrf.errors import ConfigError, StreamExhausted
 from optrf.features import FeatureSet, feature_pair
+from optrf.leverage import build_spectral_model, sample_optimized_rejection
 from optrf.sgd import (
     PREFACTOR_EVALS,
     Classifier,
     TrainConfig,
+    TrainTrace,
+    _grad_terms,
     feature_matrix,
     format_classifier,
     grad_estimate,
@@ -21,6 +26,14 @@ from optrf.sgd import (
     theorem_hyperparams,
     theorem_lambda,
     train,
+    train_arrays,
+)
+from optrf.tasks import (
+    CellConfig,
+    gen_inputs,
+    labeled_arrays,
+    make_sphere_task,
+    resolve_lambda,
 )
 
 
@@ -272,6 +285,176 @@ def test_trace_csv_shape():
     assert len(lines) == 5
     assert lines[1].split(",")[0] == "0"
     assert lines[1].split(",")[-1] in {"0", "1"}
+
+
+def test_train_arrays_rejects_mismatched_shapes():
+    fs = make_features(2, 1)
+    cfg = TrainConfig(lam=0.1, num_features=2, stream_length=4, q_min=1.0,
+                      f_norm=1.0)
+    for X, y in ((np.zeros((3, 1)), np.zeros(3)),
+                 (np.zeros((4, 1)), np.zeros(5)),
+                 (np.zeros(4), np.zeros(4))):
+        with pytest.raises(ConfigError):
+            train_arrays(fs, X, y, cfg)
+
+
+def test_trace_records_the_q_min_hypothesis():
+    freqs = np.array([[0.1], [0.2]])
+    cfg = dict(lam=0.1, num_features=2, stream_length=4, f_norm=1.0)
+    X, y = np.linspace(-1, 1, 4)[:, None], np.array([1.0, -1.0, 1.0, 1.0])
+    conv = FeatureSet(freqs=freqs, mode="conventional")
+    _, trace = train_arrays(conv, X, y, TrainConfig(q_min=1.0, **cfg))
+    assert trace.q_floor is None and trace.q_min_holds is None
+    opt = FeatureSet(freqs=freqs, mode="optimized",
+                     leverage_values=np.array([0.8, 0.5]), lam=0.1)
+    _, trace = train_arrays(opt, X, y, TrainConfig(q_min=1.0, **cfg))
+    assert trace.q_floor == 0.5 and trace.q_min_holds is False
+    _, trace = train_arrays(opt, X, y, TrainConfig(q_min=0.5, **cfg))
+    assert trace.q_min_holds is True
+
+
+# --- oracle: the trainer before the tracked-norm rewrite ----------------------
+
+
+def _reference_train(fs: FeatureSet, stream, cfg: TrainConfig,
+                     keep_iterates: bool = False
+                     ) -> tuple[Classifier, TrainTrace]:
+    """Single pass of projected SGD over exactly N examples from ``stream``.
+
+    ``stream`` is an iterable of (x, y) pairs; exactly ``cfg.stream_length``
+    of them are consumed, in order.  Raises StreamExhausted if the stream
+    runs dry early and RuntimeError (with the iteration index) if an update
+    produces non-finite coefficients.  Returns the suffix-averaged
+    classifier (2/N) sum of iterates N/2+1 ... N and the trace.
+    """
+    if fs.num_features != cfg.num_features:
+        raise ConfigError(
+            f"feature set has M={fs.num_features} but config says "
+            f"{cfg.num_features}"
+        )
+    n = cfg.stream_length
+    dim2 = 2 * cfg.num_features
+    reg2 = 2.0 * cfg.mu
+    inv_mu = cfg.eta_c / cfg.mu
+    radius = cfg.radius
+
+    alpha = np.zeros(dim2)
+    suffix = np.zeros(dim2)
+    trace_loss = np.empty(n)
+    trace_norm = np.empty(n)
+    trace_eta = np.empty(n)
+    trace_proj = np.zeros(n, dtype=bool)
+    iterates = np.empty((n, dim2)) if keep_iterates else None
+
+    it = iter(stream)
+    t = 0
+    while t < n:
+        chunk = list(islice(it, min(1024, n - t)))
+        if not chunk:
+            raise StreamExhausted(
+                f"stream ended after {t} examples; {n} were promised"
+            )
+        X = np.array([p[0] for p in chunk], dtype=float)
+        ys = np.array([p[1] for p in chunk], dtype=float)
+        Phi = feature_matrix(fs, X)
+        for i in range(len(chunk)):
+            phi = Phi[i]
+            g, pred = _grad_terms(phi, alpha, ys[i], reg2)
+            eta = inv_mu / (t + 1)
+            resid = pred - ys[i]
+            trace_loss[t] = resid * resid + cfg.mu * (alpha @ alpha)
+            trace_norm[t] = np.linalg.norm(alpha)
+            trace_eta[t] = eta
+            alpha = alpha - eta * g
+            norm = float(np.linalg.norm(alpha))
+            if norm > radius:
+                alpha *= radius / norm
+                trace_proj[t] = True
+            if not np.all(np.isfinite(alpha)):
+                raise RuntimeError(f"non-finite update at iteration {t}")
+            if iterates is not None:
+                iterates[t] = alpha
+            # iterate t+1 joins the suffix average when t+1 >= N/2 + 1
+            if t >= n // 2:
+                suffix += alpha
+            t += 1
+
+    final = (2.0 / n) * suffix
+    trace = TrainTrace(t=np.arange(n), loss=trace_loss, alpha_norm=trace_norm,
+                       eta=trace_eta, projected=trace_proj, iterates=iterates)
+    return Classifier(feature_set=fs, alpha=final), trace
+
+
+ORACLE_RTOL = 1e-12
+
+
+def assert_matches_reference(fs, X, y, cfg, keep_iterates):
+    """train and train_arrays against _reference_train on the same examples.
+
+    Vectors (alpha, each iterate) must agree to ORACLE_RTOL relative to
+    their largest entry, the loss and alpha_norm columns entry by entry,
+    and the step sizes and projection flags exactly.  The two entry points
+    of the new trainer must agree with each other to the bit.
+    """
+    pairs = list(zip(X, y))
+    ref_clf, ref = _reference_train(fs, pairs, cfg, keep_iterates)
+    clf, trace = train_arrays(fs, X, y, cfg, keep_iterates)
+    via_pairs, pair_trace = train(fs, pairs, cfg, keep_iterates)
+    assert np.array_equal(via_pairs.alpha, clf.alpha)
+    assert np.array_equal(pair_trace.loss, trace.loss)
+
+    def close(new, old):
+        assert np.abs(new - old).max() <= ORACLE_RTOL * np.abs(old).max()
+
+    close(clf.alpha, ref_clf.alpha)
+    np.testing.assert_allclose(trace.loss, ref.loss, rtol=ORACLE_RTOL, atol=0)
+    np.testing.assert_allclose(trace.alpha_norm, ref.alpha_norm,
+                               rtol=ORACLE_RTOL, atol=0)
+    assert np.array_equal(trace.eta, ref.eta)
+    assert np.array_equal(trace.projected, ref.projected)
+    if keep_iterates:
+        close(trace.iterates, ref.iterates)
+    return trace
+
+
+@pytest.mark.parametrize("m", [32, 256])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_train_matches_reference_on_the_sphere_task(m, seed):
+    # the pipeline's own configuration: optimized features on the two-arc
+    # task at the schedule's lambda, N = 16384; iterates are compared at
+    # M = 32 only, where holding two copies takes 8 MB rather than 64
+    task = make_sphere_task()
+    cell = CellConfig()
+    lam = resolve_lambda(task, cell)
+    r_unlab, r_feat, r_stream = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(3)
+    )
+    model = build_spectral_model(gen_inputs(task, cell.n_unlabeled, r_unlab),
+                                 task.kern, lam)
+    fs, _ = sample_optimized_rejection(model, m, r_feat)
+    cfg = TrainConfig(lam=lam, num_features=m, stream_length=16384,
+                      q_min=cell.q_min, f_norm=task.f_norm)
+    X, y = labeled_arrays(task, cfg.stream_length, r_stream)
+    trace = assert_matches_reference(fs, X, y, cfg, keep_iterates=m == 32)
+    assert trace.projected.any()
+
+
+@pytest.mark.parametrize("n", [200, 20000])
+def test_train_matches_reference_when_projection_dominates(n):
+    # the configuration of test_iterates_stay_in_ball_and_projection_fires,
+    # and the same run 100 times longer, whose late steps leave the ball by
+    # relative margins small enough to need the exact norm check
+    fs = make_features(4, 1, seed=10)
+    cfg = TrainConfig(lam=0.05, num_features=4, stream_length=n, q_min=1.0,
+                      f_norm=0.05, eta_c=5.0)
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-1, 1, size=(40, 1))
+    y = np.sin(3.0 * X[:, 0])
+    pairs = list(islice(resample(X, y, rng), cfg.stream_length))
+    Xs = np.array([p[0] for p in pairs])
+    ys = np.array([p[1] for p in pairs])
+    trace = assert_matches_reference(fs, Xs, ys, cfg, keep_iterates=True)
+    assert trace.projected.mean() > 0.5
 
 
 # --- ridge oracle ------------------------------------------------------------

@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
 
 from optrf.errors import CertificationError, ConfigError
 from optrf.features import GaussianKernel
+from optrf.leverage import build_spectral_model, sample_optimized_rejection
+from optrf.sgd import TrainConfig, predict, regularized_empirical_loss, train
 from optrf.tasks import (
     CellConfig,
     MetricsRecord,
@@ -22,6 +26,7 @@ from optrf.tasks import (
     format_task,
     function_distances,
     gen_inputs,
+    labeled_arrays,
     labeled_stream,
     load_task,
     make_sphere_task,
@@ -323,6 +328,14 @@ def test_labeled_stream_yields_exactly_n(sphere_task):
         assert y in (-1.0, 1.0)
 
 
+def test_labeled_arrays_equal_the_stacked_stream(sphere_task):
+    # 2500 rows: two full chunks and a partial one
+    X, y = labeled_arrays(sphere_task, 2500, np.random.default_rng(9))
+    pairs = list(labeled_stream(sphere_task, 2500, np.random.default_rng(9)))
+    assert np.array_equal(X, np.array([p[0] for p in pairs]))
+    assert np.array_equal(y, np.array([p[1] for p in pairs]))
+
+
 def test_resampling_stream_draws_from_the_dataset():
     X = np.arange(10, dtype=float).reshape(5, 2)
     y = np.array([1.0, -1.0, 1.0, -1.0, 1.0])
@@ -356,6 +369,43 @@ def test_run_cell_is_reproducible_except_for_wall_time(sphere_task):
                   "trial", "seed", "class_err", "bayes_err", "excess_err",
                   "l2", "linf", "loss", "accept_rate"):
         assert getattr(a, field) == getattr(b, field)
+
+
+def test_run_cell_equals_the_pair_stream_pipeline(sphere_task):
+    # the benchmark's traced cell rebuilds run_cell from the layer calls:
+    # the stream as a list of pairs, predict, and regularized_empirical_loss;
+    # its record must equal run_cell's except for the wall time
+    m, n, seed = 32, 16384, 2024
+    cfg = CellConfig()
+    rec = run_cell(sphere_task, "optimized", m, n, 0, seed, cfg)
+
+    r_unlab, r_feat, r_stream, r_test = (
+        np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(4)
+    )
+    lam = resolve_lambda(sphere_task, cfg)
+    model = build_spectral_model(gen_inputs(sphere_task, cfg.n_unlabeled,
+                                            r_unlab), sphere_task.kern, lam)
+    fs, diag = sample_optimized_rejection(model, m, r_feat)
+    tcfg = TrainConfig(lam=lam, num_features=m, stream_length=n,
+                       q_min=cfg.q_min, f_norm=sphere_task.f_norm,
+                       eta_c=cfg.eta_c)
+    clf, _ = train(fs, list(labeled_stream(sphere_task, n, r_stream)), tcfg)
+    X = gen_inputs(sphere_task, cfg.n_test, r_test)
+    y = sample_label(sphere_task, X, r_test)
+    fhat = predict(clf, X)
+    fref = f_star(sphere_task, X)
+    class_err = classification_error(fhat, y)
+    bayes_err = classification_error(fref, y)
+    l2, linf = function_distances(fhat, fref)
+    want = MetricsRecord(
+        task=sphere_task.name, mode="optimized", dim=sphere_task.dim,
+        gamma=sphere_task.kern.gamma, delta=sphere_task.delta, lam=lam, m=m,
+        n=n, trial=0, seed=seed, class_err=class_err, bayes_err=bayes_err,
+        excess_err=class_err - bayes_err, l2=l2, linf=linf,
+        loss=regularized_empirical_loss(clf, X, y, lam, cfg.q_min),
+        accept_rate=diag.acceptance_rate, wall_ms=0.0,
+    )
+    assert dataclasses.replace(rec, wall_ms=0.0) == want
 
 
 def test_paired_modes_share_their_data_draws(sphere_task):
