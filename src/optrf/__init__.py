@@ -17,10 +17,8 @@ from .errors import (
 from .features import (
     FeatureSet,
     GaussianKernel,
-    RealFeatureParams,
     eval_kernel,
     feature_pair,
-    feature_real,
     gram,
     kernel_importance_estimate,
     kernel_mc_estimate,
@@ -88,78 +86,3 @@ from .tasks import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CertificationError",
-    "ConfigError",
-    "OutOfBoxError",
-    "SamplerAbort",
-    "StreamExhausted",
-    "FeatureSet",
-    "GaussianKernel",
-    "RealFeatureParams",
-    "eval_kernel",
-    "feature_pair",
-    "feature_real",
-    "gram",
-    "kernel_importance_estimate",
-    "kernel_mc_estimate",
-    "load_feature_set",
-    "sample_tau",
-    "save_feature_set",
-    "SamplerDiagnostics",
-    "SpectralModel",
-    "build_spectral_model",
-    "degree_of_freedom",
-    "expected_acceptance",
-    "leverage_score",
-    "q_max_bound",
-    "sample_conventional",
-    "sample_optimized_grid",
-    "sample_optimized_rejection",
-    "spectrum_of",
-    "tabulate_optimized_density",
-    "unnormalized_leverage",
-    "Classifier",
-    "TrainConfig",
-    "TrainTrace",
-    "feature_matrix",
-    "grad_estimate",
-    "load_classifier",
-    "predict",
-    "project_ball",
-    "regularized_empirical_loss",
-    "ridge_oracle",
-    "save_classifier",
-    "theorem_hyperparams",
-    "theorem_lambda",
-    "train",
-    "train_arrays",
-    "CountTree",
-    "GridSpec",
-    "build_tree",
-    "CellConfig",
-    "MetricsRecord",
-    "SphereDist",
-    "SubgaussianDist",
-    "SyntheticTask",
-    "bayes_classifier",
-    "certify_task",
-    "evaluate",
-    "excess_error",
-    "f_star",
-    "fit_rescale",
-    "gen_inputs",
-    "labeled_arrays",
-    "labeled_stream",
-    "load_task",
-    "make_sphere_task",
-    "make_subgaussian_task",
-    "run_cell",
-    "sample_label",
-    "save_task",
-    "spectrum_report",
-    "sweep_error_vs_M",
-    "sweep_error_vs_N",
-    "__version__",
-]

@@ -2,24 +2,31 @@
 
 Every option can also be supplied through ``--config FILE`` holding flat
 ``key=value`` lines (``#`` starts a comment); explicit flags override the
-file.  ``--seed`` governs all randomness of a command.  Exit codes: 0 on
-success, 2 for configuration errors, 3 when a task fails its margin
-certificate, 4 when the feature sampler aborts, 5 for I/O problems.
+file.  Each flag is defined once in ``OPTIONS``; options that are
+``CellConfig`` fields take their defaults from ``CellConfig()``.
+``--seed`` governs all randomness of a command.  Exit codes: 0 on success,
+2 for configuration errors (a bad flag or config value, or a malformed
+input file; the message names the flag or line), 3 when a task fails its
+margin certificate, 4 when the feature sampler aborts, 5 for I/O problems.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
+from dataclasses import asdict, fields
+from functools import partial
 
 import numpy as np
 
 from . import store
 from .errors import CertificationError, ConfigError, SamplerAbort
 from .features import load_feature_set, format_feature_set
-from .fileio import append_csv_row, atomic_write
+from .fileio import (append_csv_row, atomic_write, fmt, lines, located,
+                     number, number_list)
 from .leverage import (
     build_spectral_model,
     expected_acceptance,
@@ -33,7 +40,6 @@ from .sgd import (
     load_classifier,
     predict,
     regularized_empirical_loss,
-    theorem_lambda,
     train,
 )
 from .tasks import (
@@ -53,6 +59,7 @@ from .tasks import (
     make_sphere_task,
     make_subgaussian_task,
     records_to_csv,
+    resolve_lambda,
     sample_label,
     spectrum_report,
     sweep_error_vs_M,
@@ -82,32 +89,19 @@ def _parse_bool(s: str) -> bool:
     raise ConfigError(f"expected a boolean, got {s!r}")
 
 
-def _parse_int(lo=None):
+def _parse_number(kind, lo, strict=False):
     def parse(s):
-        v = int(s)
-        if lo is not None and v < lo:
-            raise ConfigError(f"expected integer >= {lo}, got {v}")
-        return v
-    return parse
-
-
-def _parse_float(lo=None, lo_open=True):
-    def parse(s):
-        v = float(s)
-        if lo is not None and (v <= lo if lo_open else v < lo):
+        v = number(s, kind)
+        if v < lo or (strict and v == lo):
             raise ConfigError(
-                f"expected float {'>' if lo_open else '>='} {lo}, got {v}"
-            )
+                f"expected {kind.__name__} {'>' if strict else '>='} {lo}, "
+                f"got {v}")
         return v
     return parse
 
 
-def _parse_int_list(s):
-    return [int(t) for t in str(s).split(",") if t.strip()]
-
-
-def _parse_float_list(s):
-    return [float(t) for t in str(s).split(",") if t.strip()]
+_parse_int = partial(_parse_number, int)
+_parse_positive = _parse_number(float, 0.0, strict=True)
 
 
 def _parse_choice(*choices):
@@ -118,20 +112,80 @@ def _parse_choice(*choices):
     return parse
 
 
-@dataclass(frozen=True)
-class Opt:
-    name: str
-    parse: object
-    default: object
-    help: str
+Opt = namedtuple("Opt", "parse help default", defaults=[None])
 
 
-_COMMON = [
-    Opt("seed", _parse_int(lo=0), 0, "base seed for all randomness (int >= 0)"),
-]
+OPTIONS = {
+    "seed": Opt(_parse_int(0), "base seed for all randomness (int >= 0)", 0),
+    "task": Opt(str, "task file path", _REQUIRED),
+    "features": Opt(str, "feature set file path", _REQUIRED),
+    "classifier": Opt(str, "classifier file path", _REQUIRED),
+    "kind": Opt(_parse_choice("sphere", "subgaussian"),
+                "reference task family: sphere | subgaussian", "sphere"),
+    "delta": Opt(_parse_positive, "label margin delta (0 < delta < 1)", 0.5),
+    "gamma": Opt(_parse_positive, "kernel width gamma (float > 0)", 1.0),
+    "name": Opt(str, "task name recorded in result rows, without whitespace "
+                     "or commas (default: family name)"),
+    "mode": Opt(_parse_choice("conventional", "optimized"),
+                "feature distribution: conventional | optimized",
+                "optimized"),
+    "m": Opt(_parse_int(1), "number of features M (int >= 1)", 32),
+    "m_grid": Opt(partial(number_list, kind=int),
+                  "comma list of feature counts (ints >= 1)",
+                  [2, 4, 8, 16, 32, 64]),
+    "n": Opt(_parse_int(2), "stream length N (even int >= 2)", 8192),
+    "n_grid": Opt(partial(number_list, kind=int),
+                  "comma list of stream lengths (even ints >= 2)",
+                  [128, 256, 512, 1024, 2048, 4096, 8192, 16384]),
+    "trials": Opt(_parse_int(1), "trials per grid point (int >= 1)", 10),
+    "lam": Opt(_parse_positive,
+               "ridge level lambda (float > 0; default: the guarantee's "
+               "schedule when sampling or sweeping, else the input file's)"),
+    "lam_grid": Opt(number_list, "comma list of lambda values (floats > 0)",
+                    [10.0**e for e in (-4, -3.5, -3, -2.5, -2, -1.5, -1)]),
+    "q_min": Opt(_parse_positive, "density floor q_min in (0, 1]"),
+    "p": Opt(_parse_number(float, 0.0),
+             "spectral decay exponent for the schedule (0 <= p < 1)"),
+    "c_lambda": Opt(_parse_positive,
+                    "constant in front of the schedule's lambda (float > 0)"),
+    "eta_c": Opt(_parse_positive, "step size scale (float > 0)"),
+    "f_norm": Opt(_parse_positive,
+                  "target norm bound (float > 0; default: the task's)"),
+    "n_unlabeled": Opt(_parse_int(1), "unlabeled points N0 behind the "
+                                      "spectral model (int >= 1)"),
+    "n_test": Opt(_parse_int(1), "held-out test points (int >= 1)"),
+    "sampler": Opt(_parse_choice("rejection", "grid"),
+                   "optimized sampler: rejection | grid (grid needs D <= 2)"),
+    "accept_floor": Opt(_parse_positive, "abort threshold on the rejection "
+                                        "acceptance rate (0 < f <= 1)"),
+    "bottom_raised": Opt(_parse_bool,
+                         "sample from (q+1)/2 instead of q (true/false)"),
+    "grid_cells": Opt(_parse_int(2),
+                      "grid sampler cells per coordinate (int >= 2)", 512),
+    "grid_halfwidth": Opt(_parse_positive, "grid half width in tau standard "
+                                          "deviations (float > 0)", 6.0),
+    "store_delta": Opt(_parse_positive, "quantize unlabeled points through a "
+                       "count tree of this pitch (float > 0; default off)"),
+    "diagnostics": Opt(str, "CSV to append sampler diagnostics to "
+                            "(optional)"),
+    "trace": Opt(str, "CSV path for the per-iteration trace (optional)"),
+    "n_train": Opt(_parse_int(0), "stream length to record in the N column "
+                                  "(int >= 0)", 0),
+    "trial": Opt(_parse_int(0), "trial index recorded in the row", 0),
+    "accept_rate": Opt(_parse_number(float, 0.0), "acceptance rate "
+                       "recorded in the row (default nan)", float("nan")),
+    "jobs": Opt(_parse_int(1), "parallel worker processes (int >= 1)", 1),
+}
+
+_CELL_DEFAULTS = asdict(CellConfig())
 
 
-def _add_command(sub, name, opts, func, needs_out=True, help_text=""):
+def _cell_config(v) -> CellConfig:
+    return CellConfig(**{f.name: v[f.name] for f in fields(CellConfig)
+                         if f.name in v})
+
+
+def _add_command(sub, name, names, func, help_text=""):
     p = sub.add_parser(
         name, help=help_text, description=help_text,
         epilog="Any option can live in --config as 'key=value' lines "
@@ -141,78 +195,64 @@ def _add_command(sub, name, opts, func, needs_out=True, help_text=""):
                    help="flat key=value config file")
     p.add_argument("--force", action="store_true",
                    help="overwrite existing output files")
-    if needs_out:
-        p.add_argument("--out", "-o", default=None, metavar="PATH",
-                       help="output path (required)")
-    for o in _COMMON + opts:
-        p.add_argument(f"--{o.name.replace('_', '-')}", dest=o.name,
-                       default=None, metavar="V", help=o.help)
-    p.set_defaults(func=func, opts=_COMMON + opts, needs_out=needs_out)
+    p.add_argument("--out", "-o", default=None, metavar="PATH",
+                   help="output path (required)")
+    names = ("seed",) + names
+    for n in names:
+        p.add_argument(f"--{n.replace('_', '-')}", dest=n, default=None,
+                       metavar="V", help=OPTIONS[n].help)
+    p.set_defaults(func=func, names=names)
     return p
 
 
-def _read_config_file(path) -> dict[str, str]:
-    out = {}
+def _read_config_file(path, opts) -> dict:
+    """The option values of a flat ``key = value`` file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for i, line in enumerate(fh, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{i}: expected key=value, got {line!r}")
-                k, v = line.split("=", 1)
-                out[k.strip()] = v.strip()
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    out = {}
+    uncommented = "\n".join(ln.split("#", 1)[0] for ln in text.splitlines())
+    for no, line in lines(uncommented, least=0):
+        key, eq, value = (part.strip() for part in line.partition("="))
+        with located(f"{path}: line {no}"):
+            if not eq:
+                raise ConfigError(f"expected key=value, got {key!r}")
+            if key not in opts:
+                raise ConfigError(f"unknown config key {key!r}")
+            out[key] = opts[key].parse(value)
     return out
 
 
 def _resolve(args) -> dict:
     """Merge defaults, config file, and explicit flags, in that order."""
-    opts = {o.name: o for o in args.opts}
-    vals = {o.name: o.default for o in args.opts}
+    opts = {n: OPTIONS[n] for n in args.names}
+    vals = {n: _CELL_DEFAULTS.get(n, o.default) for n, o in opts.items()}
     if args.config:
-        for k, v in _read_config_file(args.config).items():
-            if k not in opts:
-                raise ConfigError(f"unknown config key {k!r}")
-            vals[k] = opts[k].parse(v)
+        vals.update(_read_config_file(args.config, opts))
     for name, opt in opts.items():
         raw = getattr(args, name)
         if raw is not None:
-            vals[name] = opt.parse(raw)
+            with located(f"--{name.replace('_', '-')}"):
+                vals[name] = opt.parse(raw)
     missing = [k for k, v in vals.items() if v is _REQUIRED]
     if missing:
         raise ConfigError(f"missing required option(s): {', '.join(missing)}")
-    if args.needs_out:
-        if args.out is None:
-            raise ConfigError("--out is required")
-        vals["out"] = args.out
-    vals["force"] = args.force
+    if args.out is None:
+        raise ConfigError("--out is required")
+    vals["out"], vals["force"] = args.out, args.force
     return vals
 
 
 def _check_out(path, force):
-    import os
-
     if not force and os.path.exists(path):
         raise FileExistsError(f"{path} exists; pass --force to overwrite")
 
 
 # --- gen-task ---------------------------------------------------------------
 
-_GEN_TASK_OPTS = [
-    Opt("kind", _parse_choice("sphere", "subgaussian"), "sphere",
-        "reference task family: sphere | subgaussian"),
-    Opt("delta", _parse_float(lo=0.0), 0.5, "label margin delta (0 < delta < 1)"),
-    Opt("gamma", _parse_float(lo=0.0), 1.0, "kernel width gamma (float > 0)"),
-    Opt("name", str, None, "task name recorded in result rows "
-                           "(default: family name)"),
-]
-
-
-def _cmd_gen_task(args):
-    v = _resolve(args)
+def _cmd_gen_task(v):
     _check_out(v["out"], v["force"])
     make = make_sphere_task if v["kind"] == "sphere" else make_subgaussian_task
     kwargs = {"delta": v["delta"], "gamma": v["gamma"]}
@@ -231,41 +271,7 @@ def _cmd_gen_task(args):
 
 # --- sample-features --------------------------------------------------------
 
-_SAMPLE_OPTS = [
-    Opt("task", str, _REQUIRED, "task file path"),
-    Opt("mode", _parse_choice("conventional", "optimized"), "optimized",
-        "feature distribution: conventional | optimized"),
-    Opt("m", _parse_int(lo=1), 32, "number of features M (int >= 1)"),
-    Opt("lam", _parse_float(lo=0.0), None,
-        "ridge level lambda (float > 0; default: the guarantee's schedule)"),
-    Opt("n_unlabeled", _parse_int(lo=1), 200,
-        "unlabeled points N0 behind the spectral model (int >= 1)"),
-    Opt("sampler", _parse_choice("rejection", "grid"), "rejection",
-        "optimized sampler: rejection | grid (grid needs D <= 2)"),
-    Opt("accept_floor", _parse_float(lo=0.0), 1e-6,
-        "abort threshold on the rejection acceptance rate (0 < f <= 1)"),
-    Opt("bottom_raised", _parse_bool, False,
-        "sample from (q+1)/2 instead of q (true/false)"),
-    Opt("grid_cells", _parse_int(lo=2), 512,
-        "grid sampler cells per coordinate (int >= 2)"),
-    Opt("grid_halfwidth", _parse_float(lo=0.0), 6.0,
-        "grid half width in tau standard deviations (float > 0)"),
-    Opt("store_delta", _parse_float(lo=0.0), None,
-        "quantize unlabeled points through a count tree of this pitch "
-        "(float > 0; default off)"),
-    Opt("q_min", _parse_float(lo=0.0), 1.0,
-        "assumed density floor for the schedule (0 < q <= 1)"),
-    Opt("p", _parse_float(lo=0.0, lo_open=False), 1e-6,
-        "spectral decay exponent for the schedule (0 <= p < 1)"),
-    Opt("c_lambda", _parse_float(lo=0.0), 1.0,
-        "constant in front of the schedule's lambda (float > 0)"),
-    Opt("diagnostics", str, None,
-        "CSV to append sampler diagnostics to (optional)"),
-]
-
-
-def _cmd_sample_features(args):
-    v = _resolve(args)
+def _cmd_sample_features(v):
     _check_out(v["out"], v["force"])
     task = load_task(v["task"])
     rng_unlab, rng_feat = (
@@ -277,8 +283,7 @@ def _cmd_sample_features(args):
         fs = sample_conventional(task.kern, v["m"], rng_feat)
         accept, expect = 1.0, 1.0
     else:
-        lam = v["lam"] if v["lam"] is not None else theorem_lambda(
-            task.delta, task.f_norm, v["q_min"], v["p"], v["c_lambda"])
+        lam = resolve_lambda(task, _cell_config(v))
         Xu = gen_inputs(task, v["n_unlabeled"], rng_unlab)
         if v["store_delta"] is not None:
             lo, hi = task.dist.bounding_box()
@@ -303,9 +308,9 @@ def _cmd_sample_features(args):
             "expected_acceptance,per_sample_ms,seed",
             ",".join([
                 task.name, v["mode"], str(v["m"]),
-                "none" if fs.lam is None else repr(fs.lam), v["sampler"],
-                str(v["n_unlabeled"]), repr(accept), repr(expect),
-                repr(elapsed_ms / v["m"]), str(v["seed"]),
+                "none" if fs.lam is None else fmt(fs.lam), v["sampler"],
+                str(v["n_unlabeled"]), fmt(accept), fmt(expect),
+                fmt(elapsed_ms / v["m"]), str(v["seed"]),
             ]),
         )
     print(f"wrote {v['out']} ({v['mode']}, M={v['m']}, "
@@ -315,23 +320,7 @@ def _cmd_sample_features(args):
 
 # --- train -------------------------------------------------------------------
 
-_TRAIN_OPTS = [
-    Opt("task", str, _REQUIRED, "task file path"),
-    Opt("features", str, _REQUIRED, "feature set file path"),
-    Opt("n", _parse_int(lo=2), 8192, "stream length N (even int >= 2)"),
-    Opt("lam", _parse_float(lo=0.0), None,
-        "ridge level lambda (float > 0; default: the feature file's)"),
-    Opt("q_min", _parse_float(lo=0.0), 1.0,
-        "density floor q_min in (0, 1]"),
-    Opt("eta_c", _parse_float(lo=0.0), 1.0, "step size scale (float > 0)"),
-    Opt("f_norm", _parse_float(lo=0.0), None,
-        "target norm bound (float > 0; default: the task's)"),
-    Opt("trace", str, None, "CSV path for the per-iteration trace (optional)"),
-]
-
-
-def _cmd_train(args):
-    v = _resolve(args)
+def _cmd_train(v):
     _check_out(v["out"], v["force"])
     if v["trace"]:
         _check_out(v["trace"], v["force"])
@@ -360,23 +349,7 @@ def _cmd_train(args):
 
 # --- eval ---------------------------------------------------------------------
 
-_EVAL_OPTS = [
-    Opt("task", str, _REQUIRED, "task file path"),
-    Opt("classifier", str, _REQUIRED, "classifier file path"),
-    Opt("n_test", _parse_int(lo=1), 10_000, "held-out test points (int >= 1)"),
-    Opt("q_min", _parse_float(lo=0.0), 1.0, "density floor for the loss term"),
-    Opt("lam", _parse_float(lo=0.0), None,
-        "lambda for the loss term (default: the classifier file's, else 0)"),
-    Opt("n_train", _parse_int(lo=0), 0,
-        "stream length to record in the N column (int >= 0)"),
-    Opt("trial", _parse_int(lo=0), 0, "trial index recorded in the row"),
-    Opt("accept_rate", _parse_float(lo=0.0, lo_open=False), float("nan"),
-        "acceptance rate recorded in the row (default nan)"),
-]
-
-
-def _cmd_eval(args):
-    v = _resolve(args)
+def _cmd_eval(v):
     task = load_task(v["task"])
     clf = load_classifier(v["classifier"])
     lam = v["lam"] if v["lam"] is not None else (clf.feature_set.lam or 0.0)
@@ -399,91 +372,27 @@ def _cmd_eval(args):
 
 # --- sweeps -------------------------------------------------------------------
 
-_SWEEP_SHARED = [
-    Opt("task", str, _REQUIRED, "task file path"),
-    Opt("trials", _parse_int(lo=1), 10, "trials per grid point (int >= 1)"),
-    Opt("lam", _parse_float(lo=0.0), None,
-        "ridge level (float > 0; default: the guarantee's schedule)"),
-    Opt("q_min", _parse_float(lo=0.0), 1.0, "density floor q_min in (0, 1]"),
-    Opt("eta_c", _parse_float(lo=0.0), 1.0, "step size scale (float > 0)"),
-    Opt("n_unlabeled", _parse_int(lo=1), 200,
-        "unlabeled points behind the spectral model (int >= 1)"),
-    Opt("n_test", _parse_int(lo=1), 10_000, "held-out test points (int >= 1)"),
-    Opt("sampler", _parse_choice("rejection", "grid"), "rejection",
-        "optimized sampler: rejection | grid"),
-    Opt("accept_floor", _parse_float(lo=0.0), 1e-6,
-        "rejection sampler abort floor (0 < f <= 1)"),
-    Opt("bottom_raised", _parse_bool, False,
-        "sample from (q+1)/2 instead of q (true/false)"),
-    Opt("p", _parse_float(lo=0.0, lo_open=False), 1e-6,
-        "spectral decay exponent for the schedule (0 <= p < 1)"),
-    Opt("c_lambda", _parse_float(lo=0.0), 1.0,
-        "constant in front of the schedule's lambda (float > 0)"),
-    Opt("jobs", _parse_int(lo=1), 1, "parallel worker processes (int >= 1)"),
-]
-
-_SWEEP_N_OPTS = _SWEEP_SHARED + [
-    Opt("mode", _parse_choice("conventional", "optimized"), "optimized",
-        "feature distribution: conventional | optimized"),
-    Opt("n_grid", _parse_int_list, [128, 256, 512, 1024, 2048, 4096, 8192, 16384],
-        "comma list of stream lengths (even ints >= 2)"),
-    Opt("m", _parse_int(lo=1), 32, "features per run (int >= 1)"),
-]
-
-_SWEEP_M_OPTS = _SWEEP_SHARED + [
-    Opt("m_grid", _parse_int_list, [2, 4, 8, 16, 32, 64],
-        "comma list of feature counts (ints >= 1)"),
-    Opt("n", _parse_int(lo=2), 8192, "stream length N (even int >= 2)"),
-]
-
-
-def _cell_config(v) -> CellConfig:
-    return CellConfig(
-        lam=v["lam"], q_min=v["q_min"], eta_c=v["eta_c"],
-        n_unlabeled=v["n_unlabeled"], n_test=v["n_test"],
-        sampler=v["sampler"], accept_floor=v["accept_floor"],
-        bottom_raised=v["bottom_raised"], p=v["p"], c_lambda=v["c_lambda"],
-    )
-
-
-def _cmd_sweep_n(args):
-    v = _resolve(args)
+def _sweep(v, sweep, *grid):
+    """Run ``sweep`` over its grid arguments and write the records."""
     _check_out(v["out"], v["force"])
-    task = load_task(v["task"])
-    records = sweep_error_vs_N(task, v["mode"], v["n_grid"], v["m"],
-                               v["trials"], _cell_config(v),
-                               base_seed=v["seed"], jobs=v["jobs"])
+    records = sweep(load_task(v["task"]), *grid, v["trials"], _cell_config(v),
+                    base_seed=v["seed"], jobs=v["jobs"])
     atomic_write(v["out"], records_to_csv(records), force=True)
     print(f"wrote {v['out']} ({len(records)} records)")
     return EXIT_OK
 
 
-def _cmd_sweep_m(args):
-    v = _resolve(args)
-    _check_out(v["out"], v["force"])
-    task = load_task(v["task"])
-    records = sweep_error_vs_M(task, v["m_grid"], v["n"], v["trials"],
-                               _cell_config(v), base_seed=v["seed"],
-                               jobs=v["jobs"])
-    atomic_write(v["out"], records_to_csv(records), force=True)
-    print(f"wrote {v['out']} ({len(records)} records)")
-    return EXIT_OK
+def _cmd_sweep_n(v):
+    return _sweep(v, sweep_error_vs_N, v["mode"], v["n_grid"], v["m"])
+
+
+def _cmd_sweep_m(v):
+    return _sweep(v, sweep_error_vs_M, v["m_grid"], v["n"])
 
 
 # --- spectrum -------------------------------------------------------------------
 
-_SPECTRUM_OPTS = [
-    Opt("task", str, _REQUIRED, "task file path"),
-    Opt("n_unlabeled", _parse_int(lo=1), 200,
-        "unlabeled points N0 (int >= 1)"),
-    Opt("lam_grid", _parse_float_list,
-        [10.0**e for e in (-4, -3.5, -3, -2.5, -2, -1.5, -1)],
-        "comma list of lambda values (floats > 0)"),
-]
-
-
-def _cmd_spectrum(args):
-    v = _resolve(args)
+def _cmd_spectrum(v):
     spec_path = v["out"] + ".spectrum.csv"
     dof_path = v["out"] + ".dof.csv"
     _check_out(spec_path, v["force"])
@@ -512,19 +421,36 @@ def build_parser() -> argparse.ArgumentParser:
                     "train, evaluate, sweep.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_command(sub, "gen-task", _GEN_TASK_OPTS, _cmd_gen_task,
+    sweep = ("task", "trials", "lam", "q_min", "eta_c", "n_unlabeled",
+             "n_test", "sampler", "accept_floor", "bottom_raised", "p",
+             "c_lambda", "jobs")
+    _add_command(sub, "gen-task", ("kind", "delta", "gamma", "name"),
+                 _cmd_gen_task,
                  help_text="generate and certify a reference task file")
-    _add_command(sub, "sample-features", _SAMPLE_OPTS, _cmd_sample_features,
+    _add_command(sub, "sample-features",
+                 ("task", "mode", "m", "lam", "n_unlabeled", "sampler",
+                  "accept_floor", "bottom_raised", "grid_cells",
+                  "grid_halfwidth", "store_delta", "q_min", "p", "c_lambda",
+                  "diagnostics"),
+                 _cmd_sample_features,
                  help_text="sample a feature set for a task")
-    _add_command(sub, "train", _TRAIN_OPTS, _cmd_train,
+    _add_command(sub, "train",
+                 ("task", "features", "n", "lam", "q_min", "eta_c", "f_norm",
+                  "trace"),
+                 _cmd_train,
                  help_text="train a classifier on a fresh labeled stream")
-    _add_command(sub, "eval", _EVAL_OPTS, _cmd_eval,
+    _add_command(sub, "eval",
+                 ("task", "classifier", "n_test", "q_min", "lam", "n_train",
+                  "trial", "accept_rate"),
+                 _cmd_eval,
                  help_text="evaluate a classifier; appends one record row")
-    _add_command(sub, "sweep-n", _SWEEP_N_OPTS, _cmd_sweep_n,
+    _add_command(sub, "sweep-n", sweep + ("mode", "n_grid", "m"),
+                 _cmd_sweep_n,
                  help_text="error versus stream length over a grid")
-    _add_command(sub, "sweep-m", _SWEEP_M_OPTS, _cmd_sweep_m,
+    _add_command(sub, "sweep-m", sweep + ("m_grid", "n"), _cmd_sweep_m,
                  help_text="paired error versus feature count over a grid")
-    _add_command(sub, "spectrum", _SPECTRUM_OPTS, _cmd_spectrum,
+    _add_command(sub, "spectrum", ("task", "n_unlabeled", "lam_grid"),
+                 _cmd_spectrum,
                  help_text="empirical spectrum and ridge curves "
                            "(--out is a path prefix)")
     return parser
@@ -533,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(_resolve(args))
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
+from .fileio import (atomic_write, fmt, lines, load, number, parse_header,
+                     parse_row)
 
 FEATURE_MODES = ("conventional", "optimized")
 
@@ -84,29 +86,6 @@ def feature_pair(v, x):
     return np.cos(ang), np.sin(ang)
 
 
-def feature_real(v, b, x):
-    """Real feature sqrt(2) cos(-2 pi v.x + 2 pi b) with phase b in [0, 1]."""
-    v = np.asarray(v, dtype=float)
-    x = np.asarray(x, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.any(b < 0) or np.any(b > 1):
-        raise ConfigError("phase b must lie in [0, 1]")
-    ang = -2.0 * np.pi * (v * x).sum(axis=-1) + 2.0 * np.pi * b
-    return np.sqrt(2.0) * np.cos(ang)
-
-
-@dataclass(frozen=True)
-class RealFeatureParams:
-    """Frequency and phase of a single real random Fourier feature."""
-
-    v: np.ndarray
-    b: float
-
-    def __post_init__(self):
-        if not (0.0 <= self.b <= 1.0):
-            raise ConfigError(f"phase b must lie in [0, 1], got {self.b}")
-
-
 @dataclass(frozen=True)
 class FeatureSet:
     """A bag of M sampled frequencies plus sampling metadata.
@@ -128,8 +107,8 @@ class FeatureSet:
 
     def __post_init__(self):
         freqs = np.asarray(self.freqs, dtype=float)
-        if freqs.ndim != 2 or freqs.shape[0] < 1:
-            raise ConfigError("freqs must be a (M, D) array with M >= 1")
+        if freqs.ndim != 2 or min(freqs.shape) < 1:
+            raise ConfigError("freqs must be a (M, D) array with M, D >= 1")
         object.__setattr__(self, "freqs", freqs)
         if self.mode not in FEATURE_MODES:
             raise ConfigError(f"mode must be one of {FEATURE_MODES}, got {self.mode!r}")
@@ -184,65 +163,48 @@ def kernel_importance_estimate(fs: FeatureSet, x, y) -> float:
 #   <v[0,0]> <v[0,1]> ... <v[0,D-1]> [q=<float>]
 #   ...                                        (M rows)
 #
-# floats are written with repr() so a save/load/save round trip is
+# floats are written with fileio.fmt so a save/load/save round trip is
 # byte-identical.
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def format_feature_set(fs: FeatureSet) -> str:
-    lam = "none" if fs.lam is None else _fmt(fs.lam)
-    lines = [f"# mode={fs.mode} M={fs.num_features} D={fs.dim} lambda={lam}"]
+    lam = "none" if fs.lam is None else fmt(fs.lam)
+    out = [f"# mode={fs.mode} M={fs.num_features} D={fs.dim} lambda={lam}"]
     for m in range(fs.num_features):
-        row = " ".join(_fmt(v) for v in fs.freqs[m])
+        row = " ".join(fmt(v) for v in fs.freqs[m])
         if fs.leverage_values is not None:
-            row += f" q={_fmt(fs.leverage_values[m])}"
-        lines.append(row)
-    return "\n".join(lines) + "\n"
+            row += f" q={fmt(fs.leverage_values[m])}"
+        out.append(row)
+    return "\n".join(out) + "\n"
 
 
 def parse_feature_set(text: str) -> FeatureSet:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("#"):
-        raise ConfigError("feature set file must start with a '#' header line")
-    header = dict(tok.split("=", 1) for tok in lines[0][1:].split())
-    try:
-        mode = header["mode"]
-        m_count = int(header["M"])
-        dim = int(header["D"])
-        lam = None if header["lambda"] == "none" else float(header["lambda"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"malformed feature set header: {lines[0]!r}") from exc
-    if len(lines) - 1 != m_count:
-        raise ConfigError(f"expected {m_count} frequency rows, found {len(lines) - 1}")
-    freqs = np.empty((m_count, dim))
-    qs = []
-    for i, ln in enumerate(lines[1:]):
-        toks = ln.split()
-        if toks and toks[-1].startswith("q="):
-            qs.append(float(toks[-1][2:]))
-            toks = toks[:-1]
-        if len(toks) != dim:
-            raise ConfigError(f"row {i} has {len(toks)} coordinates, expected {dim}")
-        freqs[i] = [float(t) for t in toks]
-    if qs and len(qs) != m_count:
+    rows = lines(text)
+    head = parse_header(rows[0], "", {
+        "mode": str, "M": int, "D": int,
+        "lambda": lambda tok: None if tok == "none" else number(tok)})
+    if len(rows) - 1 != head["M"]:
+        raise ConfigError(f"expected {head['M']} frequency rows, "
+                          f"found {len(rows) - 1}")
+    freqs, qs = [], []
+    for no, row in rows[1:]:
+        coords, has_q, q = row.partition(" q=")
+        freqs.append(parse_row((no, coords), count=head["D"]))
+        if has_q:
+            qs.extend(parse_row((no, q), count=1))
+    if qs and len(qs) != head["M"]:
         raise ConfigError("leverage values must be present on every row or none")
     return FeatureSet(
-        freqs=freqs,
-        mode=mode,
+        freqs=np.array(freqs),
+        mode=head["mode"],
         leverage_values=np.asarray(qs) if qs else None,
-        lam=lam,
+        lam=head["lambda"],
     )
 
 
 def save_feature_set(fs: FeatureSet, path, force: bool = True) -> None:
-    from .fileio import atomic_write
-
     atomic_write(path, format_feature_set(fs), force=force)
 
 
 def load_feature_set(path) -> FeatureSet:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_feature_set(fh.read())
+    return load(path, parse_feature_set)

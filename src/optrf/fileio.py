@@ -1,9 +1,114 @@
-"""Small file-handling helpers shared by the save/load paths and the CLI."""
+"""The text codec behind every optrf file, plus atomic writes.
+
+Every optrf file is line based: ``#`` header lines of ``key=value`` tokens,
+then rows of whitespace- or comma-separated fields.  Floats are written with
+``fmt``, so format -> parse -> format gives the same bytes.  Parsers read
+through ``lines``, ``parse_header`` and ``parse_row``, so any malformed input
+is a ConfigError that names its line; numbers must be finite.
+"""
 
 from __future__ import annotations
 
+import math
 import os
 import tempfile
+from contextlib import contextmanager
+
+from .errors import ConfigError
+
+
+def fmt(x) -> str:
+    """Shortest text that reads back as the same float."""
+    return repr(float(x))
+
+
+def number(tok: str, kind=float, finite: bool = True):
+    """``tok`` read as an int or a float; ConfigError unless it is one, and
+    unless it is finite when ``finite`` is set."""
+    try:
+        v = kind(tok)
+    except ValueError:
+        what = "an integer" if kind is int else "a number"
+        raise ConfigError(f"expected {what}, got {tok!r}") from None
+    if finite and not math.isfinite(v):
+        raise ConfigError(f"expected a finite number, got {tok!r}")
+    return v
+
+
+def number_list(text: str, kind=float, sep: str = ",") -> list:
+    """The ``sep``-separated numbers of ``text``; blank entries are skipped."""
+    return [number(t, kind) for t in text.split(sep) if t.strip()]
+
+
+@contextmanager
+def located(where: str):
+    """Re-raise a ConfigError from the block with ``where`` in front."""
+    try:
+        yield
+    except ConfigError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+def lines(text: str, least: int = 1) -> list[tuple[int, str]]:
+    """The non-blank lines of ``text`` as (1-based line number, line);
+    ConfigError when there are fewer than ``least``."""
+    out = [(no, ln) for no, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if len(out) < least:
+        raise ConfigError(f"expected at least {least} non-blank lines, "
+                          f"got {len(out)}")
+    return out
+
+
+def _read(tok: str, kind):
+    return number(tok, kind) if kind in (int, float) else kind(tok)
+
+
+def parse_header(line: tuple[int, str], tag: str, spec: dict) -> dict:
+    """The values of a ``# <tag> key=value ...`` header line.
+
+    ``spec`` maps every key the line must hold, each exactly once, to the
+    kind its value is read as: ``int``, ``float``, ``str`` or a function
+    that raises ConfigError.  ``tag`` may be empty.
+    """
+    no, text = line
+    toks = text[1:].split()
+    pairs = [tok.partition("=") for tok in toks[1 if tag else 0:]]
+    keys = sorted(key for key, eq, _ in pairs if eq)
+    with located(f"line {no}"):
+        if not text.startswith("#") or (tag and toks[:1] != [tag]) \
+                or len(keys) != len(pairs) or keys != sorted(spec):
+            raise ConfigError(f"expected '#{' ' + tag if tag else ''}' and "
+                              f"{', '.join(spec)} once each, got {text!r}")
+        out = {}
+        for key, _, value in pairs:
+            with located(key):
+                out[key] = _read(value, spec[key])
+    return out
+
+
+def parse_row(line: tuple[int, str], count: int, kind=float,
+              sep: str | None = None) -> list:
+    """The ``count`` fields of a data row, each read as ``kind``, or as the
+    matching entry when ``kind`` is a list."""
+    no, text = line
+    toks = text.split(sep)
+    with located(f"line {no}"):
+        if len(toks) != count:
+            raise ConfigError(f"expected {count} fields, got {len(toks)}")
+        kinds = kind if isinstance(kind, list) else [kind] * count
+        return [_read(t, k) for t, k in zip(toks, kinds)]
+
+
+def load(path, parse):
+    """``parse`` applied to the text of ``path``, with the path in front of
+    any ConfigError; text that is not UTF-8 is a ConfigError too."""
+    path = os.fspath(path)
+    with open(path, "r", encoding="utf-8") as fh, located(path):
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"not UTF-8 text ({exc.reason})") from None
+        return parse(text)
 
 
 def atomic_write(path, text: str, force: bool = False) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .errors import ConfigError, SamplerAbort
 from .features import FeatureSet, GaussianKernel, gram, sample_tau
@@ -283,7 +283,7 @@ def tabulate_optimized_density(
         raise ConfigError("grid tabulation only supports dimension <= 2")
     sigma = model.kern.tau_sigma
     half = half_width_sigmas * sigma
-    tail = 2.0 * norm.sf(half_width_sigmas)
+    tail = 2.0 * ndtr(-half_width_sigmas)
     covered = (1.0 - tail) ** dim
     if covered < 1.0 - 1e-6:
         raise ConfigError(
@@ -291,7 +291,7 @@ def tabulate_optimized_density(
         )
     edges = [np.linspace(-half, half, cells_per_coord + 1) for _ in range(dim)]
     centers = [0.5 * (e[:-1] + e[1:]) for e in edges]
-    masses = [np.diff(norm.cdf(e / sigma)) for e in edges]
+    masses = [np.diff(ndtr(e / sigma)) for e in edges]
     if dim == 1:
         V = centers[0][:, None]
         tau_mass = masses[0]

@@ -42,7 +42,9 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.blas import daxpy, ddot, dscal
 
 from .errors import ConfigError, StreamExhausted
-from .features import FeatureSet, feature_pair
+from .features import (FeatureSet, feature_pair, format_feature_set,
+                       parse_feature_set)
+from .fileio import atomic_write, fmt, lines, load, parse_row
 
 _CHUNK = 1024          # rows per feature-matrix chunk and norm resync
 _NSQ_GUARD = 1e-9      # relative band below radius^2 checked exactly
@@ -110,13 +112,6 @@ class TrainConfig:
         return 2.0 * math.sqrt(2.0) * self.f_norm / math.sqrt(
             self.num_features * self.q_min
         )
-
-
-def step_size(cfg: TrainConfig, t: int) -> float:
-    """eta^(t) = eta_c / (mu (t+1)) for iteration t = 0, 1, ..."""
-    if t < 0:
-        raise ConfigError(f"iteration index must be >= 0, got {t}")
-    return cfg.eta_c / (cfg.mu * (t + 1))
 
 
 def feature_matrix(fs: FeatureSet, X) -> np.ndarray:
@@ -482,30 +477,20 @@ def theorem_hyperparams(
 
 
 def format_classifier(clf: Classifier) -> str:
-    from .features import format_feature_set
-
-    coeffs = " ".join(repr(float(a)) for a in clf.alpha)
+    coeffs = " ".join(fmt(a) for a in clf.alpha)
     return format_feature_set(clf.feature_set) + coeffs + "\n"
 
 
 def parse_classifier(text: str) -> Classifier:
-    from .features import parse_feature_set
-
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 2:
-        raise ConfigError("classifier file needs a feature block and a "
-                          "coefficient line")
-    fs = parse_feature_set("\n".join(lines[:-1]))
-    alpha = np.array([float(t) for t in lines[-1].split()])
-    return Classifier(feature_set=fs, alpha=alpha)
+    rows = lines(text, least=2)
+    fs = parse_feature_set("\n".join(text.splitlines()[:rows[-1][0] - 1]))
+    alpha = parse_row(rows[-1], count=2 * fs.num_features)
+    return Classifier(feature_set=fs, alpha=np.array(alpha))
 
 
 def save_classifier(clf: Classifier, path, force: bool = True) -> None:
-    from .fileio import atomic_write
-
     atomic_write(path, format_classifier(clf), force=force)
 
 
 def load_classifier(path) -> Classifier:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_classifier(fh.read())
+    return load(path, parse_classifier)

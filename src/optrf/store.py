@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, OutOfBoxError
-from .fileio import atomic_write
+from .fileio import (atomic_write, fmt, lines, load, number_list,
+                     parse_header, parse_row)
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,9 @@ class GridSpec:
     def build(cls, lower, upper, delta: float) -> "GridSpec":
         lower = np.atleast_1d(np.asarray(lower, dtype=float))
         upper = np.atleast_1d(np.asarray(upper, dtype=float))
-        if lower.shape != upper.shape or lower.ndim != 1:
-            raise ConfigError("lower and upper must be 1-D arrays of equal length")
+        if lower.shape != upper.shape or lower.ndim != 1 or lower.size == 0:
+            raise ConfigError("lower and upper must be non-empty 1-D arrays "
+                              "of equal length")
         if not (delta > 0):
             raise ConfigError(f"delta must be positive, got {delta}")
         if np.any(upper <= lower):
@@ -55,7 +57,12 @@ class GridSpec:
         # cells per coordinate, rounded up to a shared power of two; the
         # small slack keeps an exact multiple of delta from being bumped by
         # floating-point rounding
-        span = (upper - lower) / delta
+        with np.errstate(over="ignore"):
+            span = (upper - lower) / delta
+        # coord_indices holds cell indices in int64
+        if not np.all(span <= 2.0**62):
+            raise ConfigError(f"delta={delta!r} makes more than 2**62 cells "
+                              f"per coordinate")
         cells = int(np.max(np.ceil(span * (1 - 1e-12) - 1e-9)))
         bits = max(1, int(np.ceil(np.log2(max(cells, 1)) - 1e-12)))
         padded = lower + delta * float(2**bits)
@@ -105,11 +112,6 @@ class GridSpec:
         return self.lower + (idx + 0.5) * self.delta
 
 
-def grid_index(spec: GridSpec, x) -> str:
-    """Bit-string cell address of x: per-coordinate indices, MSB first."""
-    return spec.leaf_bits(spec.leaf_of(x))
-
-
 class CountTree:
     """Counts per grid cell with hierarchical proportional sampling.
 
@@ -132,15 +134,15 @@ class CountTree:
         """Add one observation of x; returns the number of nodes touched."""
         if self._frozen:
             raise RuntimeError("tree is frozen: no increments after sampling begins")
-        leaf = self.spec.leaf_of(x)
+        self._add(self.spec.leaf_of(x), 1)
+        return self.spec.depth + 1
+
+    def _add(self, leaf: int, count: int) -> None:
         depth = self.spec.depth
-        touched = 0
         for level in range(depth + 1):
             prefix = leaf >> (depth - level)
             nodes = self._levels[level]
-            nodes[prefix] = nodes.get(prefix, 0) + 1
-            touched += 1
-        return touched
+            nodes[prefix] = nodes.get(prefix, 0) + count
 
     def sample_cell(self, rng: np.random.Generator) -> tuple[str, np.ndarray]:
         """Draw a cell with probability count/total; returns (bits, center)."""
@@ -178,58 +180,49 @@ class CountTree:
     #   ...                        (one line per occupied leaf, sorted)
 
     def dump(self) -> str:
-        low = ",".join(repr(float(v)) for v in self.spec.lower)
-        up = ",".join(repr(float(v)) for v in self.spec.upper)
-        lines = [
-            f"# D={self.spec.dim} delta={self.spec.delta!r} "
+        low = ",".join(fmt(v) for v in self.spec.lower)
+        up = ",".join(fmt(v) for v in self.spec.upper)
+        out = [
+            f"# D={self.spec.dim} delta={fmt(self.spec.delta)} "
             f"lower={low} upper={up} total={self.total()}"
         ]
-        lines += [f"{bits} {count}" for bits, count in self.leaf_distribution()]
-        return "\n".join(lines) + "\n"
+        out += [f"{bits} {count}" for bits, count in self.leaf_distribution()]
+        return "\n".join(out) + "\n"
 
     def save(self, path, force: bool = True) -> None:
         atomic_write(path, self.dump(), force=force)
 
     @classmethod
     def parse(cls, text: str) -> "CountTree":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        if not lines or not lines[0].startswith("#"):
-            raise ConfigError("tree dump must start with a '#' header line")
-        header = dict(tok.split("=", 1) for tok in lines[0][1:].split())
-        try:
-            dim = int(header["D"])
-            delta = float(header["delta"])
-            lower = np.array([float(t) for t in header["lower"].split(",")])
-            upper = np.array([float(t) for t in header["upper"].split(",")])
-            total = int(header["total"])
-        except (KeyError, ValueError) as exc:
-            raise ConfigError(f"malformed tree header: {lines[0]!r}") from exc
-        if lower.size != dim or upper.size != dim:
+        rows = lines(text)
+        head = parse_header(rows[0], "", {
+            "D": int, "delta": float, "lower": number_list,
+            "upper": number_list, "total": int,
+        })
+        if not len(head["lower"]) == len(head["upper"]) == head["D"]:
             raise ConfigError("lower/upper length does not match D")
-        spec = GridSpec.build(lower, upper, delta)
+        spec = GridSpec.build(head["lower"], head["upper"], head["delta"])
         tree = cls(spec)
         depth = spec.depth
-        for ln in lines[1:]:
-            bits, count_s = ln.split()
-            if len(bits) != depth:
-                raise ConfigError(f"cell address {bits!r} has wrong width")
-            leaf, count = int(bits, 2), int(count_s)
+
+        def leaf(bits: str) -> int:
+            if len(bits) != depth or set(bits) - {"0", "1"}:
+                raise ConfigError(f"cell address {bits!r} is not {depth} bits")
+            return int(bits, 2)
+
+        for row in rows[1:]:
+            leaf_no, count = parse_row(row, 2, [leaf, int])
             if count < 1:
-                raise ConfigError("leaf counts must be positive")
-            for level in range(depth + 1):
-                prefix = leaf >> (depth - level)
-                nodes = tree._levels[level]
-                nodes[prefix] = nodes.get(prefix, 0) + count
-        if tree.total() != total:
-            raise ConfigError(
-                f"header total {total} does not match leaf sum {tree.total()}"
-            )
+                raise ConfigError(f"line {row[0]}: leaf counts must be positive")
+            tree._add(leaf_no, count)
+        if tree.total() != head["total"]:
+            raise ConfigError(f"header total {head['total']} does not match "
+                              f"leaf sum {tree.total()}")
         return tree
 
     @classmethod
     def load(cls, path) -> "CountTree":
-        with open(path, "r", encoding="utf-8") as fh:
-            return cls.parse(fh.read())
+        return load(path, cls.parse)
 
 
 def build_tree(points, lower, upper, delta: float) -> CountTree:

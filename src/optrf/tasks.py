@@ -15,12 +15,15 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
+from functools import partial
 
 import numpy as np
 
 from .errors import CertificationError, ConfigError
-from .features import FeatureSet, GaussianKernel, gram
+from .features import GaussianKernel, gram
+from .fileio import (atomic_write, fmt, lines, load, number, number_list,
+                     parse_header, parse_row)
 from .leverage import (
     build_spectral_model,
     sample_conventional,
@@ -148,6 +151,9 @@ class SyntheticTask:
     delta: float
 
     def __post_init__(self):
+        if any(c.isspace() or c == "," for c in self.name):
+            raise ConfigError(f"task name may not contain whitespace or "
+                              f"commas, got {self.name!r}")
         anchors = np.atleast_2d(np.asarray(self.anchors, dtype=float))
         coeffs = np.asarray(self.coeffs, dtype=float)
         if anchors.shape[1] != self.kern.dim:
@@ -187,9 +193,9 @@ def gen_inputs(task: SyntheticTask, n: int, rng: np.random.Generator) -> np.ndar
 def sample_label(task: SyntheticTask, X, rng: np.random.Generator) -> np.ndarray:
     """Draw labels y = +1 with probability (1 + f*(x)) / 2, else -1."""
     f = f_star(task, X)
-    if np.any(np.abs(f) > 1.0):
+    if not np.all(np.abs(f) <= 1.0):
         raise CertificationError(
-            f"|f*| reaches {np.abs(f).max()!r} > 1: task construction bug"
+            f"|f*| leaves [0, 1] (max {np.abs(f).max()!r}): task construction bug"
         )
     return np.where(rng.random(f.shape) < (1.0 + f) / 2.0, 1.0, -1.0)
 
@@ -209,7 +215,7 @@ def certify_task(task: SyntheticTask, rng: np.random.Generator | None = None,
     rng = rng if rng is not None else np.random.default_rng(_CERTIFY_SEED)
     g = np.abs(f_star(task, gen_inputs(task, n_probe, rng)))
     lo, hi = float(g.min()), float(g.max())
-    if lo < task.delta or hi > 1.0:
+    if not (lo >= task.delta and hi <= 1.0):
         raise CertificationError(
             f"margin certificate failed: |f*| spans [{lo!r}, {hi!r}], "
             f"required [{task.delta}, 1.0]"
@@ -353,12 +359,6 @@ def evaluate(task: SyntheticTask, clf: Classifier, X, y, lam: float,
     }
 
 
-RECORD_COLUMNS = (
-    "task,mode,D,gamma,delta,lambda,M,N,trial,seed,class_err,bayes_err,"
-    "excess_err,l2,linf,loss,accept_rate,wall_ms"
-)
-
-
 @dataclass(frozen=True)
 class MetricsRecord:
     """One evaluated pipeline cell; every field except wall_ms is
@@ -384,14 +384,20 @@ class MetricsRecord:
     wall_ms: float
 
     def to_csv_row(self) -> str:
-        return ",".join([
-            self.task, self.mode, str(self.dim), repr(self.gamma),
-            repr(self.delta), repr(self.lam), str(self.m), str(self.n),
-            str(self.trial), str(self.seed), repr(self.class_err),
-            repr(self.bayes_err), repr(self.excess_err), repr(self.l2),
-            repr(self.linf), repr(self.loss), repr(self.accept_rate),
-            repr(self.wall_ms),
-        ])
+        return ",".join(fmt(v) if f.type == "float" else str(v)
+                        for f, v in zip(fields(self), astuple(self)))
+
+
+# CSV columns named differently from their MetricsRecord fields
+_COLUMN_NAMES = {"dim": "D", "lam": "lambda", "m": "M", "n": "N"}
+RECORD_COLUMNS = ",".join(_COLUMN_NAMES.get(f.name, f.name)
+                          for f in fields(MetricsRecord))
+
+
+# nan marks a value not recorded, such as optrf eval's accept_rate
+_RECORD_KINDS = [{"str": str, "int": int,
+                  "float": partial(number, finite=False)}[f.type]
+                 for f in fields(MetricsRecord)]
 
 
 def records_to_csv(records) -> str:
@@ -399,23 +405,12 @@ def records_to_csv(records) -> str:
 
 
 def parse_records_csv(text: str) -> list[MetricsRecord]:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or lines[0] != RECORD_COLUMNS:
+    rows = lines(text)
+    if rows[0][1] != RECORD_COLUMNS:
         raise ConfigError("records file does not start with the expected header")
-    out = []
-    for ln in lines[1:]:
-        f = ln.split(",")
-        if len(f) != 18:
-            raise ConfigError(f"record row has {len(f)} fields, expected 18")
-        out.append(MetricsRecord(
-            task=f[0], mode=f[1], dim=int(f[2]), gamma=float(f[3]),
-            delta=float(f[4]), lam=float(f[5]), m=int(f[6]), n=int(f[7]),
-            trial=int(f[8]), seed=int(f[9]), class_err=float(f[10]),
-            bayes_err=float(f[11]), excess_err=float(f[12]), l2=float(f[13]),
-            linf=float(f[14]), loss=float(f[15]), accept_rate=float(f[16]),
-            wall_ms=float(f[17]),
-        ))
-    return out
+    return [MetricsRecord(*parse_row(row, len(_RECORD_KINDS), _RECORD_KINDS,
+                                    sep=","))
+            for row in rows[1:]]
 
 
 # --- pipeline cells and sweeps ---------------------------------------------
@@ -617,88 +612,79 @@ def spectrum_report(task: SyntheticTask, n_unlabeled: int, lam_grid,
 #   <cluster center rows, C x D>                                 (subgaussian)
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def format_task(task: SyntheticTask) -> str:
     kind = "sphere" if isinstance(task.dist, SphereDist) else "subgaussian"
     head = (
         f"# task name={task.name} kind={kind} D={task.dim} "
-        f"gamma={_fmt(task.kern.gamma)} delta={_fmt(task.delta)} "
+        f"gamma={fmt(task.kern.gamma)} delta={fmt(task.delta)} "
         f"A={task.anchors.shape[0]}"
     )
     if isinstance(task.dist, SphereDist):
         arcs = "none" if task.dist.arcs is None else ";".join(
-            f"{_fmt(lo)}:{_fmt(hi)}" for lo, hi in task.dist.arcs
+            f"{fmt(lo)}:{fmt(hi)}" for lo, hi in task.dist.arcs
         )
-        dist = f"# dist radius={_fmt(task.dist.radius)} arcs={arcs}"
+        dist = f"# dist radius={fmt(task.dist.radius)} arcs={arcs}"
         tail = []
     else:
-        w = ",".join(_fmt(v) for v in task.dist.weights)
-        dist = (f"# dist sigma={_fmt(task.dist.sigma)} "
-                f"trunc={_fmt(task.dist.trunc)} weights={w}")
-        tail = [" ".join(_fmt(v) for v in row) for row in task.dist.centers]
-    lines = [head, dist]
-    lines += [" ".join(_fmt(v) for v in row) for row in task.anchors]
-    lines.append(" ".join(_fmt(v) for v in task.coeffs))
-    lines += tail
-    return "\n".join(lines) + "\n"
+        w = ",".join(fmt(v) for v in task.dist.weights)
+        dist = (f"# dist sigma={fmt(task.dist.sigma)} "
+                f"trunc={fmt(task.dist.trunc)} weights={w}")
+        tail = [" ".join(fmt(v) for v in row) for row in task.dist.centers]
+    out = [head, dist]
+    out += [" ".join(fmt(v) for v in row) for row in task.anchors]
+    out.append(" ".join(fmt(v) for v in task.coeffs))
+    out += tail
+    return "\n".join(out) + "\n"
+
+
+def _arcs(tok: str):
+    if tok == "none":
+        return None
+    arcs = tuple(tuple(number_list(pair, sep=":")) for pair in tok.split(";"))
+    if any(len(arc) != 2 for arc in arcs):
+        raise ConfigError(f"expected lo:hi pairs, got {tok!r}")
+    return arcs
+
+
+_TASK_HEADER = {"name": str, "kind": str, "D": int, "gamma": float,
+                "delta": float, "A": int}
+_DIST_HEADERS = {
+    "sphere": {"radius": float, "arcs": _arcs},
+    "subgaussian": {"sigma": float, "trunc": float, "weights": number_list},
+}
 
 
 def parse_task(text: str, certify: bool = True) -> SyntheticTask:
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if len(lines) < 3 or not lines[0].startswith("# task ") \
-            or not lines[1].startswith("# dist "):
-        raise ConfigError("task file needs '# task' and '# dist' header lines")
-    head = dict(tok.split("=", 1) for tok in lines[0][len("# task "):].split())
-    dist_h = dict(tok.split("=", 1) for tok in lines[1][len("# dist "):].split())
-    try:
-        name = head["name"]
-        kind = head["kind"]
-        dim = int(head["D"])
-        gamma = float(head["gamma"])
-        delta = float(head["delta"])
-        n_anchor = int(head["A"])
-    except (KeyError, ValueError) as exc:
-        raise ConfigError(f"malformed task header: {lines[0]!r}") from exc
-    body = lines[2:]
-    if len(body) < n_anchor + 1:
+    rows = lines(text, least=3)
+    head = parse_header(rows[0], "task", _TASK_HEADER)
+    if head["kind"] not in _DIST_HEADERS:
+        raise ConfigError(f"line {rows[0][0]}: unknown task kind "
+                          f"{head['kind']!r}")
+    dist_h = parse_header(rows[1], "dist", _DIST_HEADERS[head["kind"]])
+    dim, n_anchor = head["D"], head["A"]
+    body = rows[2:]
+    if not 0 < n_anchor < len(body):
         raise ConfigError("task file is missing anchor or coefficient rows")
-    anchors = np.array([[float(t) for t in body[i].split()]
-                        for i in range(n_anchor)])
-    coeffs = np.array([float(t) for t in body[n_anchor].split()])
-    rest = body[n_anchor + 1:]
-    if kind == "sphere":
-        if rest:
-            raise ConfigError("unexpected trailing rows in sphere task file")
-        arcs_s = dist_h["arcs"]
-        arcs = None if arcs_s == "none" else tuple(
-            tuple(float(v) for v in pair.split(":")) for pair in arcs_s.split(";")
-        )
-        dist = SphereDist(dim=dim, radius=float(dist_h["radius"]), arcs=arcs)
-    elif kind == "subgaussian":
-        weights = np.array([float(t) for t in dist_h["weights"].split(",")])
-        if len(rest) != weights.size:
-            raise ConfigError("need one center row per mixture weight")
-        centers = np.array([[float(t) for t in row.split()] for row in rest])
-        dist = SubgaussianDist(centers=centers, sigma=float(dist_h["sigma"]),
-                               trunc=float(dist_h["trunc"]), weights=weights)
-    else:
-        raise ConfigError(f"unknown task kind {kind!r}")
-    task = SyntheticTask(name=name, kern=GaussianKernel(gamma=gamma, dim=dim),
-                         dist=dist, anchors=anchors, coeffs=coeffs, delta=delta)
+    anchors = np.array([parse_row(row, count=dim) for row in body[:n_anchor]])
+    coeffs = np.array(parse_row(body[n_anchor], count=n_anchor))
+    centers = [parse_row(row, count=dim) for row in body[n_anchor + 1:]]
+    if len(centers) != len(dist_h.get("weights", ())):
+        raise ConfigError("need one center row per mixture weight (none for "
+                          "a sphere task)")
+    dist = (SphereDist(dim=dim, **dist_h) if head["kind"] == "sphere" else
+            SubgaussianDist(centers=np.array(centers), **dist_h))
+    task = SyntheticTask(name=head["name"],
+                         kern=GaussianKernel(gamma=head["gamma"], dim=dim),
+                         dist=dist, anchors=anchors, coeffs=coeffs,
+                         delta=head["delta"])
     if certify:
         certify_task(task)
     return task
 
 
 def save_task(task: SyntheticTask, path, force: bool = True) -> None:
-    from .fileio import atomic_write
-
     atomic_write(path, format_task(task), force=force)
 
 
 def load_task(path, certify: bool = True) -> SyntheticTask:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_task(fh.read(), certify=certify)
+    return load(path, partial(parse_task, certify=certify))

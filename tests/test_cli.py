@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import optrf
 from optrf.cli import (
     EXIT_CERTIFICATION,
     EXIT_CONFIG,
@@ -275,3 +281,79 @@ def test_bad_flag_value_is_a_config_error(ws):
                "--out", ws / "z.txt") == EXIT_CONFIG
     assert run("sweep-n", "--task", ws / "task.txt", "--mode", "sideways",
                "--out", ws / "z.csv") == EXIT_CONFIG
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # every optrf command pays the import; scipy.stats alone costs ~1 s
+    code = "import sys, optrf.cli; print('scipy.stats' in sys.modules)"
+    src = str(Path(optrf.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
+# --- malformed inputs: exit 2, one error line, no output ---------------------
+
+_FEATURES = "# mode=conventional M=2 D=2 lambda=none\n0.1 0.2\n0.3 0.4\n"
+
+
+def _edit(text, row, fn):
+    rows = text.splitlines()
+    rows[row] = fn(rows[row])
+    return "\n".join(rows) + "\n"
+
+
+def _first_token(new):
+    return lambda row: " ".join([new] + row.split()[1:])
+
+
+def _sample_with_task(fn):
+    def case(ws, d):
+        (d / "task.txt").write_text(fn((ws / "task.txt").read_text()))
+        return ["sample-features", "--task", d / "task.txt", "--m", 4,
+                "--n-unlabeled", 20]
+    return case
+
+
+def _train_with_features(fn):
+    def case(ws, d):
+        (d / "feats.txt").write_text(fn(_FEATURES))
+        return ["train", "--task", ws / "task.txt", "--features",
+                d / "feats.txt", "--lam", 0.02, "--n", 20]
+    return case
+
+
+def _config_m_x(ws, d):
+    (d / "bad.cfg").write_text("m = x\n")
+    return ["sample-features", "--task", ws / "task.txt", "--config",
+            d / "bad.cfg"]
+
+
+_DEFECTS = {
+    "task-header-stray-token":
+        _sample_with_task(lambda t: _edit(t, 0, lambda r: r + " junk")),
+    "feature-header-stray-token":
+        _train_with_features(lambda t: _edit(t, 0, lambda r: r + " junk")),
+    "task-row-not-a-number":
+        _sample_with_task(lambda t: _edit(t, 2, _first_token("abc"))),
+    "frequency-row-not-a-number":
+        _train_with_features(lambda t: _edit(t, 1, _first_token("abc"))),
+    "frequency-nan":
+        _train_with_features(lambda t: _edit(t, 1, _first_token("nan"))),
+    "config-m-not-an-int": _config_m_x,
+    "m-grid-not-an-int": lambda ws, d: [
+        "sweep-m", "--task", ws / "task.txt", "--m-grid", "2,x"],
+    "task-name-with-space": lambda ws, d: ["gen-task", "--name", "a b"],
+    "task-name-with-comma": lambda ws, d: ["gen-task", "--name", "a,b"],
+}
+
+
+@pytest.mark.parametrize("defect", sorted(_DEFECTS))
+def test_malformed_input_exits_2_without_output(defect, ws, tmp_path, capsys):
+    out = tmp_path / "out.txt"
+    argv = _DEFECTS[defect](ws, tmp_path)
+    assert run(*argv, "--out", out) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()

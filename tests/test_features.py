@@ -7,10 +7,8 @@ from optrf.errors import ConfigError
 from optrf.features import (
     FeatureSet,
     GaussianKernel,
-    RealFeatureParams,
     eval_kernel,
     feature_pair,
-    feature_real,
     format_feature_set,
     gram,
     kernel_importance_estimate,
@@ -123,34 +121,6 @@ def test_feature_pair_unit_circle():
     rng = np.random.default_rng(4)
     c, s = feature_pair(rng.normal(size=(100, 3)), rng.normal(size=3))
     assert np.allclose(c * c + s * s, 1.0)
-
-
-# --- real feature equivalence: phase quadrature oracle ----------------------
-#
-# Averaging products of the single real feature sqrt(2) cos(-2 pi v.x + 2 pi b)
-# over a uniform phase b must reproduce cc' + ss' exactly; checked against
-# trapezoid quadrature in b.
-
-
-def test_real_feature_phase_average_equals_pair_product():
-    rng = np.random.default_rng(5)
-    v = rng.normal(size=(1, 2))
-    x, y = rng.normal(size=2), rng.normal(size=2)
-    b = np.linspace(0.0, 1.0, 20_001)
-    prod = feature_real(v, b, x) * feature_real(v, b, y)
-    avg = float(np.trapezoid(prod, b))
-    cx, sx = feature_pair(v, x)
-    cy, sy = feature_pair(v, y)
-    assert avg == pytest.approx(float(cx[0] * cy[0] + sx[0] * sy[0]), abs=1e-9)
-
-
-def test_real_feature_bounds_and_validation():
-    v = np.array([[0.3]])
-    assert abs(float(feature_real(v, 0.77, np.array([0.5]))[0])) <= math.sqrt(2.0)
-    with pytest.raises(ConfigError):
-        feature_real(v, 1.5, np.array([0.0]))
-    with pytest.raises(ConfigError):
-        RealFeatureParams(v=np.array([0.3]), b=-0.2)
 
 
 # --- estimators ----------------------------------------------------------------

@@ -22,7 +22,6 @@ from optrf.sgd import (
     regularized_empirical_loss,
     ridge_oracle,
     save_classifier,
-    step_size,
     theorem_hyperparams,
     theorem_lambda,
     train,
@@ -71,15 +70,6 @@ def test_config_validation():
                 dict(f_norm=0.0), dict(eta_c=0.0)):
         with pytest.raises(ConfigError):
             TrainConfig(**{**good, **bad})
-
-
-def test_step_size_values():
-    # mu = 0.5 * 1 * 1, so eta(0) = 1 / 0.5 = 2
-    assert step_size(CFG, 0) == pytest.approx(2.0)
-    for t in range(1, 7):
-        assert step_size(CFG, t) == pytest.approx(2.0 / (t + 1))
-    with pytest.raises(ConfigError):
-        step_size(CFG, -1)
 
 
 # --- features, prediction, loss ----------------------------------------------
@@ -233,7 +223,7 @@ def test_train_starts_from_zero_and_logs_step_sizes():
     assert trace.loss[0] == pytest.approx(1.0)
     assert np.array_equal(trace.t, np.arange(6))
     for t in range(6):
-        assert trace.eta[t] == pytest.approx(step_size(cfg, t))
+        assert trace.eta[t] == pytest.approx(cfg.eta_c / (cfg.mu * (t + 1)))
 
 
 def test_iterates_stay_in_ball_and_projection_fires():

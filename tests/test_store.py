@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from optrf.errors import ConfigError, OutOfBoxError
-from optrf.store import CountTree, GridSpec, build_tree, grid_index
+from optrf.store import CountTree, GridSpec, build_tree
 
 
 # --- grid geometry ----------------------------------------------------------
@@ -53,9 +53,9 @@ def test_coord_indices_edges_and_out_of_box():
 def test_leaf_address_is_coordinate_major_msb_first():
     spec = GridSpec.build([0.0, 0.0], [1.0, 1.0], 0.25)
     # cell indices (2, 1) -> bits '10' then '01'
-    assert grid_index(spec, np.array([0.6, 0.3])) == "1001"
-    assert grid_index(spec, np.array([0.0, 0.0])) == "0000"
-    assert grid_index(spec, np.array([0.99, 0.99])) == "1111"
+    assert spec.leaf_bits(spec.leaf_of(np.array([0.6, 0.3]))) == "1001"
+    assert spec.leaf_bits(spec.leaf_of(np.array([0.0, 0.0]))) == "0000"
+    assert spec.leaf_bits(spec.leaf_of(np.array([0.99, 0.99]))) == "1111"
 
 
 def test_cell_center_inverts_leaf_of():
@@ -126,7 +126,8 @@ def test_sample_cell_single_leaf_and_freeze():
     tree = build_tree(np.array([[0.3, 0.3]]), [0.0, 0.0], [1.0, 1.0], 0.25)
     rng = np.random.default_rng(2)
     bits, center = tree.sample_cell(rng)
-    assert bits == grid_index(tree.spec, np.array([0.3, 0.3]))
+    spec = tree.spec
+    assert bits == spec.leaf_bits(spec.leaf_of(np.array([0.3, 0.3])))
     assert tree.spec.leaf_of(center) == int(bits, 2)
     with pytest.raises(RuntimeError, match="frozen"):
         tree.increment(np.array([0.5, 0.5]))
@@ -189,3 +190,16 @@ def test_tree_parse_errors():
     lines[1] = "0" + lines[1]
     with pytest.raises(ConfigError):
         CountTree.parse("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("old, new", [
+    ("delta=0.5", "delta=5e-324"),
+    ("lower=0.0", "lower=-1e308"),
+    ("D=1 delta=0.5 lower=0.0 upper=1.0", "D=0 delta=0.5 lower= upper="),
+])
+def test_tree_parse_rejects_degenerate_grids(old, new):
+    # grids too fine for int64 cell indices, and a grid with no coordinates
+    good = build_tree(np.array([[0.1]]), [0.0], [1.0], 0.5).dump()
+    assert old in good
+    with pytest.raises(ConfigError):
+        CountTree.parse(good.replace(old, new))

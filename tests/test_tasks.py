@@ -227,6 +227,20 @@ def test_certify_rejects_margin_violation():
         certify_task(make_raw_task(coeff=0.1, delta=0.4))
 
 
+def test_certify_and_labels_fail_closed_on_nan():
+    task = make_raw_task(coeff=np.nan)
+    with pytest.raises(CertificationError):
+        certify_task(task)
+    with pytest.raises(CertificationError):
+        sample_label(task, np.array([[0.0, 0.1]]), np.random.default_rng(5))
+
+
+@pytest.mark.parametrize("name", ["a b", "a,b", "tab\there", "new\nline"])
+def test_task_names_without_whitespace_or_commas(name):
+    with pytest.raises(ConfigError, match="whitespace or commas"):
+        dataclasses.replace(make_raw_task(), name=name)
+
+
 def test_rescale_tops_out_just_under_one():
     task = fit_rescale(make_raw_task(coeff=0.01, radius=0.2, delta=0.4))
     lo, hi = certify_task(task)
