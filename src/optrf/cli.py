@@ -400,9 +400,9 @@ def _cmd_spectrum(v):
     task = load_task(v["task"])
     mu, rows = spectrum_report(task, v["n_unlabeled"], v["lam_grid"],
                                seed=v["seed"])
-    spec_lines = ["i,mu_i"] + [f"{i + 1},{m!r}" for i, m in enumerate(mu)]
+    spec_lines = ["i,mu_i"] + [f"{i + 1},{fmt(m)}" for i, m in enumerate(mu)]
     dof_lines = ["lambda,dof,q_max_bound,expected_acceptance"] + [
-        f"{lam!r},{dof!r},{qmax!r},{acc!r}" for lam, dof, qmax, acc in rows
+        ",".join(fmt(x) for x in row) for row in rows
     ]
     atomic_write(spec_path, "\n".join(spec_lines) + "\n", force=True)
     atomic_write(dof_path, "\n".join(dof_lines) + "\n", force=True)

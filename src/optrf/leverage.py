@@ -12,6 +12,11 @@ so q(v) = ell(v) / d(lam) is a probability density relative to tau.  Sampling
 frequencies from q * tau instead of tau concentrates them where the data
 spectrum lives; q is bounded by (1/lam)/d(lam), which gives the rejection
 envelope used here.
+
+Repeated points are folded: n distinct rows of weight w = count / N0 give
+A = W^1/2 K W^1/2 (K their Gram matrix, W = diag(w)), which has the nonzero
+spectrum of K/N0.  One eigendecomposition A = U diag(mu) U^T yields d(lam)
+and B = W^1/2 U diag(mu + lam)^-1/2, with ell(v) = |B^T cos|^2 + |B^T sin|^2.
 """
 
 from __future__ import annotations
@@ -40,16 +45,18 @@ _BATCH = 16384
 class SpectralModel:
     """Empirical spectral summary of the kernel on a point sample.
 
-    points : (N0, D) unlabeled inputs (or count-tree cell centers repeated
-             by multiplicity).
-    mu     : eigenvalues of K/N0, descending, clipped at zero.
+    points : (N0, D) unlabeled inputs; repeated rows are allowed.
+    mu     : the N0 eigenvalues of K/N0, descending, clipped at zero.
+    rows   : (n, D) distinct rows of ``points``, each of weight count / N0.
+    basis  : (n, n) B = W^1/2 U diag(mu + lam)^-1/2, so ell(v) = |B^T z|^2.
     """
 
     kern: GaussianKernel
     lam: float
     points: np.ndarray
     mu: np.ndarray
-    chol: tuple
+    rows: np.ndarray
+    basis: np.ndarray
     dof: float
 
     @property
@@ -61,7 +68,10 @@ class SpectralModel:
         return int((self.mu > RANK_TOL).sum())
 
 
-def _checked_gram(points, kern: GaussianKernel) -> np.ndarray:
+def _folded_eigh(points, kern: GaussianKernel):
+    """(points, distinct rows, A, mu, U): A = W^1/2 K W^1/2 is exactly K/N0
+    when no row repeats and has diagonal W; mu holds the N0 eigenvalues of
+    K/N0 (descending, clipped, zero past n), U A's eigenvectors in order."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[0] < 1:
         raise ConfigError("need at least one point")
@@ -69,10 +79,19 @@ def _checked_gram(points, kern: GaussianKernel) -> np.ndarray:
         raise ConfigError(
             f"points have dimension {points.shape[1]}, kernel expects {kern.dim}"
         )
-    K = gram(kern, points)
+    rows, counts = np.unique(points, axis=0, return_counts=True)
+    K = gram(kern, rows)
     if not np.array_equal(K, K.T) or not np.all(K.diagonal() == 1.0):
         raise RuntimeError("Gram matrix must be symmetric with unit diagonal")
-    return K
+    A = K * np.sqrt(np.outer(counts, counts)) / points.shape[0]
+    evals, U = np.linalg.eigh(A)
+    if evals[0] < NEG_EIG_TOL:
+        raise RuntimeError(
+            f"eigenvalue {evals[0]:.3e} of K/N0 below {NEG_EIG_TOL}: numerical failure"
+        )
+    mu = np.zeros(points.shape[0])
+    mu[:evals.size] = np.clip(evals[::-1], 0.0, None)
+    return points, rows, A, mu, U[:, ::-1]
 
 
 def spectrum_of(points, kern: GaussianKernel) -> np.ndarray:
@@ -81,18 +100,11 @@ def spectrum_of(points, kern: GaussianKernel) -> np.ndarray:
     Raises if any eigenvalue falls below -1e-10; such a value signals a
     broken Gram computation rather than harmless rounding.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    K = _checked_gram(points, kern)
-    mu = np.linalg.eigvalsh(K / points.shape[0])[::-1].copy()
-    if mu[-1] < NEG_EIG_TOL:
-        raise RuntimeError(
-            f"eigenvalue {mu[-1]:.3e} of K/N0 below {NEG_EIG_TOL}: numerical failure"
-        )
-    return np.clip(mu, 0.0, None)
+    return _folded_eigh(points, kern)[3]
 
 
 def build_spectral_model(points, kern: GaussianKernel, lam: float) -> SpectralModel:
-    """Factorize (K/N0 + lam I) and eigendecompose K/N0 for later reuse.
+    """Eigendecompose the weighted Gram matrix A once for later reuse.
 
     Raises if the Gram matrix is not symmetric with unit diagonal, if any
     eigenvalue of K/N0 falls below -1e-10, or if the eigenvalue and trace
@@ -100,19 +112,17 @@ def build_spectral_model(points, kern: GaussianKernel, lam: float) -> SpectralMo
     """
     if not (lam > 0):
         raise ConfigError(f"lam must be positive, got {lam}")
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    n0 = points.shape[0]
-    mu = spectrum_of(points, kern)
-    Kn = _checked_gram(points, kern) / n0
-    chol = cho_factor(Kn + lam * np.eye(n0), lower=True)
+    points, rows, A, mu, U = _folded_eigh(points, kern)
     dof_eig = float((mu / (mu + lam)).sum())
-    dof_tr = float(np.trace(cho_solve(chol, Kn)))
+    chol = cho_factor(A + lam * np.eye(len(A)), lower=True)
+    dof_tr = float(np.trace(cho_solve(chol, A)))
     if abs(dof_eig - dof_tr) > DOF_AGREE_TOL:
         raise RuntimeError(
             f"degree-of-freedom routes disagree: eig {dof_eig!r} vs trace {dof_tr!r}"
         )
-    return SpectralModel(kern=kern, lam=lam, points=points, mu=mu,
-                         chol=chol, dof=dof_eig)
+    basis = np.sqrt(A.diagonal())[:, None] * U / np.sqrt(mu[:len(A)] + lam)
+    return SpectralModel(kern=kern, lam=lam, points=points, mu=mu, rows=rows,
+                         basis=basis, dof=dof_eig)
 
 
 def degree_of_freedom(model: SpectralModel) -> float:
@@ -121,9 +131,10 @@ def degree_of_freedom(model: SpectralModel) -> float:
 
 
 def dof_from_trace(model: SpectralModel) -> float:
-    """d(lam) via tr[K/N0 (K/N0 + lam I)^{-1}]; independent of the eigenroute."""
+    """d(lam) via tr[K/N0 (K/N0 + lam I)^{-1}] on all N0 rows, unfolded."""
     Kn = gram(model.kern, model.points) / model.num_points
-    return float(np.trace(cho_solve(model.chol, Kn)))
+    chol = cho_factor(Kn + model.lam * np.eye(model.num_points), lower=True)
+    return float(np.trace(cho_solve(chol, Kn)))
 
 
 def q_max_bound(model: SpectralModel) -> float:
@@ -140,15 +151,11 @@ def unnormalized_leverage(model: SpectralModel, V) -> np.ndarray:
     """ell(v) for each frequency row; averages to d(lam) over v ~ tau."""
     V = np.atleast_2d(np.asarray(V, dtype=float))
     out = np.empty(V.shape[0])
-    n0 = model.num_points
     for lo in range(0, V.shape[0], _BATCH):
-        chunk = V[lo:lo + _BATCH]
-        ang = 2.0 * np.pi * (chunk @ model.points.T)
-        c = np.cos(ang)
-        s = np.sin(ang)
-        bc = cho_solve(model.chol, c.T)
-        bs = cho_solve(model.chol, s.T)
-        out[lo:lo + _BATCH] = ((c * bc.T).sum(axis=1) + (s * bs.T).sum(axis=1)) / n0
+        ang = 2.0 * np.pi * (V[lo:lo + _BATCH] @ model.rows.T)
+        c = np.cos(ang) @ model.basis
+        s = np.sin(ang) @ model.basis
+        out[lo:lo + _BATCH] = (c * c).sum(axis=1) + (s * s).sum(axis=1)
     return out
 
 
@@ -292,13 +299,9 @@ def tabulate_optimized_density(
     edges = [np.linspace(-half, half, cells_per_coord + 1) for _ in range(dim)]
     centers = [0.5 * (e[:-1] + e[1:]) for e in edges]
     masses = [np.diff(ndtr(e / sigma)) for e in edges]
-    if dim == 1:
-        V = centers[0][:, None]
-        tau_mass = masses[0]
-    else:
-        g0, g1 = np.meshgrid(centers[0], centers[1], indexing="ij")
-        V = np.stack([g0.ravel(), g1.ravel()], axis=1)
-        tau_mass = np.outer(masses[0], masses[1]).ravel()
+    grid = np.meshgrid(*centers, indexing="ij")
+    V = np.stack([g.ravel() for g in grid], axis=1)
+    tau_mass = np.prod(np.meshgrid(*masses, indexing="ij"), axis=0).ravel()
     probs = leverage_score(model, V) * tau_mass
     probs = probs / probs.sum()
     return GridTabulation(edges=edges, centers=centers, probs=probs,
@@ -324,10 +327,7 @@ def sample_optimized_grid(
     cum = np.cumsum(tab.probs)
     cum[-1] = 1.0
     flat = np.searchsorted(cum, rng.random(m), side="right")
-    if dim == 1:
-        idx = flat[:, None]
-    else:
-        idx = np.stack(np.unravel_index(flat, (cells_per_coord,) * dim), axis=1)
+    idx = np.stack(np.unravel_index(flat, (cells_per_coord,) * dim), axis=1)
     lo = np.stack([tab.edges[c][idx[:, c]] for c in range(dim)], axis=1)
     width = np.stack([np.diff(tab.edges[c])[idx[:, c]] for c in range(dim)], axis=1)
     freqs = lo + width * rng.random((m, dim))

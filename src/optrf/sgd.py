@@ -117,6 +117,10 @@ class TrainConfig:
 def feature_matrix(fs: FeatureSet, X) -> np.ndarray:
     """Interleaved (n, 2M) feature matrix [cos_0, sin_0, cos_1, sin_1, ...]."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
+    if X.shape[1] != fs.dim:
+        raise ConfigError(
+            f"inputs have dimension {X.shape[1]}, features expect {fs.dim}"
+        )
     ang = -2.0 * np.pi * (X @ fs.freqs.T)
     out = np.empty((X.shape[0], 2 * fs.num_features))
     out[:, 0::2] = np.cos(ang)
@@ -229,8 +233,8 @@ class TrainTrace:
         lines = ["t,loss,alpha_norm,eta,projected"]
         for i in range(self.t.size):
             lines.append(
-                f"{self.t[i]},{self.loss[i]!r},{self.alpha_norm[i]!r},"
-                f"{self.eta[i]!r},{int(self.projected[i])}"
+                f"{self.t[i]},{fmt(self.loss[i])},{fmt(self.alpha_norm[i])},"
+                f"{fmt(self.eta[i])},{int(self.projected[i])}"
             )
         return "\n".join(lines) + "\n"
 

@@ -29,6 +29,7 @@ from .leverage import (
     sample_conventional,
     sample_optimized_grid,
     sample_optimized_rejection,
+    spectrum_of,
 )
 from .sgd import (
     Classifier,
@@ -588,8 +589,6 @@ def spectrum_report(task: SyntheticTask, n_unlabeled: int, lam_grid,
     Returns (eigenvalues of K/N0, rows of (lam, dof, q_max_bound,
     expected_acceptance)).
     """
-    from .leverage import spectrum_of
-
     rng = np.random.default_rng(seed)
     mu = spectrum_of(gen_inputs(task, n_unlabeled, rng), task.kern)
     rows = []

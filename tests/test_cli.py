@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -16,6 +17,7 @@ from optrf.cli import (
     main,
 )
 from optrf.features import load_feature_set
+from optrf.fileio import number
 from optrf.sgd import load_classifier
 from optrf.tasks import load_task, parse_records_csv
 
@@ -180,6 +182,10 @@ def test_train_conventional_with_explicit_lambda(ws):
     trace = (ws / "trace.csv").read_text().splitlines()
     assert trace[0] == "t,loss,alpha_norm,eta,projected"
     assert len(trace) == 21
+    for row in trace[1:]:
+        t, *values, projected = row.split(",")
+        assert number(t, int) >= 0 and number(projected, int) in (0, 1)
+        assert all(number(x) >= 0 for x in values)
 
 
 def test_train_takes_lambda_from_optimized_features(ws):
@@ -271,6 +277,11 @@ def test_spectrum_writes_two_tables(ws):
     assert spec[1].startswith("1,")
     assert dof[0] == "lambda,dof,q_max_bound,expected_acceptance"
     assert len(dof) == 3
+    for i, row in enumerate(spec[1:]):
+        index, mu = row.split(",")
+        assert number(index, int) == i + 1 and number(mu) >= 0
+    for row in dof[1:]:
+        assert all(number(x) > 0 for x in row.split(","))
     # refuses to clobber either table without --force
     assert run("spectrum", "--task", ws / "task.txt", "--n-unlabeled", 40,
                "--lam-grid", "0.1,0.01", "--out", prefix) == EXIT_IO
@@ -296,6 +307,7 @@ def test_import_leaves_scipy_stats_unloaded():
 # --- malformed inputs: exit 2, one error line, no output ---------------------
 
 _FEATURES = "# mode=conventional M=2 D=2 lambda=none\n0.1 0.2\n0.3 0.4\n"
+_FEATURES_3D = "# mode=conventional M=2 D=3 lambda=none\n0.1 0.2 0.5\n0.3 0.4 0.6\n"
 
 
 def _edit(text, row, fn):
@@ -324,6 +336,12 @@ def _train_with_features(fn):
     return case
 
 
+def _eval_3d_classifier(ws, d):
+    (d / "clf.txt").write_text(_FEATURES_3D + "0.1 0.2 0.3 0.4\n")
+    return ["eval", "--task", ws / "task.txt", "--classifier", d / "clf.txt",
+            "--n-test", 20]
+
+
 def _config_m_x(ws, d):
     (d / "bad.cfg").write_text("m = x\n")
     return ["sample-features", "--task", ws / "task.txt", "--config",
@@ -341,6 +359,9 @@ _DEFECTS = {
         _train_with_features(lambda t: _edit(t, 1, _first_token("abc"))),
     "frequency-nan":
         _train_with_features(lambda t: _edit(t, 1, _first_token("nan"))),
+    "train-features-of-another-dimension":
+        _train_with_features(lambda t: _FEATURES_3D),
+    "eval-classifier-of-another-dimension": _eval_3d_classifier,
     "config-m-not-an-int": _config_m_x,
     "m-grid-not-an-int": lambda ws, d: [
         "sweep-m", "--task", ws / "task.txt", "--m-grid", "2,x"],
@@ -357,3 +378,27 @@ def test_malformed_input_exits_2_without_output(defect, ws, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+# --- the benchmark's CLI span shim --------------------------------------------
+
+
+def test_perfbench_shim_traces_the_leverage_layers(tmp_path):
+    # perfbench/worker.py wraps optrf.cli, optrf.leverage and optrf.store
+    # names by attribute; a renamed or bypassed one would drop its span
+    assert run("gen-task", "--kind", "subgaussian",
+               "--out", tmp_path / "task.txt") == EXIT_OK
+    src = Path(optrf.__file__).resolve().parents[1]
+    worker = src.parent / "perfbench" / "worker.py"
+    argv = ["sample-features", "--task", "task.txt", "--store-delta", "0.05",
+            "--sampler", "grid", "--grid-cells", "16", "--m", "8",
+            "--n-unlabeled", "50", "--out", "features.txt"]
+    proc = subprocess.run(
+        [sys.executable, str(worker), "cli", "spans.json", *argv],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    spans = json.loads((tmp_path / "spans.json").read_text())["s"]
+    for name in ("leverage.spectral_model", "leverage.score", "features.gram",
+                 "store.expanded_points"):
+        assert name in spans

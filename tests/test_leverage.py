@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.linalg import cho_factor, cho_solve
 
 from optrf.errors import ConfigError, SamplerAbort
-from optrf.features import GaussianKernel, sample_tau
+from optrf.features import GaussianKernel, gram, sample_tau
 from optrf.leverage import (
+    _BATCH,
     build_spectral_model,
     degree_of_freedom,
     dof_from_trace,
@@ -18,6 +20,8 @@ from optrf.leverage import (
     tabulate_optimized_density,
     unnormalized_leverage,
 )
+from optrf.store import build_tree
+from optrf.tasks import CellConfig, gen_inputs, make_sphere_task, resolve_lambda
 
 KERN1 = GaussianKernel(gamma=1.0, dim=1)
 KERN2 = GaussianKernel(gamma=1.0, dim=2)
@@ -204,3 +208,73 @@ def test_degenerate_model_rejection_recovers_tau():
     assert diag.acceptance_rate == pytest.approx(0.01 / 1.01, rel=0.1)
     ks = stats.kstest(fs.freqs[:, 0], "norm", args=(0.0, KERN1.tau_sigma))
     assert ks.statistic <= 0.03
+
+
+# --- oracle: the Cholesky leverage before the eigenbasis rewrite ---------------
+
+ORACLE_RTOL = 1e-12
+
+
+def _reference_leverage(points, kern, lam, V):
+    """ell(v) from the Cholesky factor of K/N0 + lam I on all N0 rows,
+    repeated rows included: two triangular solves per batch."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n0 = points.shape[0]
+    chol = cho_factor(gram(kern, points) / n0 + lam * np.eye(n0), lower=True)
+    V = np.atleast_2d(np.asarray(V, dtype=float))
+    out = np.empty(V.shape[0])
+    for lo in range(0, V.shape[0], _BATCH):
+        chunk = V[lo:lo + _BATCH]
+        ang = 2.0 * np.pi * (chunk @ points.T)
+        c = np.cos(ang)
+        s = np.sin(ang)
+        bc = cho_solve(chol, c.T)
+        bs = cho_solve(chol, s.T)
+        out[lo:lo + _BATCH] = ((c * bc.T).sum(axis=1) + (s * bs.T).sum(axis=1)) / n0
+    return out
+
+
+@pytest.fixture(scope="module")
+def oracle_cases(line_model):
+    """(points, kernel, lam) per case; the count-tree case resamples 1000
+    cells of a 4096-point sphere pool at pitch 1/64, about 100 distinct."""
+    task = make_sphere_task()
+    lam = resolve_lambda(task, CellConfig())
+    rng = np.random.default_rng(30)
+    lo, hi = task.dist.bounding_box()
+    tree = build_tree(gen_inputs(task, 1 << 12, rng), lo, hi, 1 / 64)
+    cells = np.array([tree.sample_cell(rng)[1] for _ in range(1000)])
+    return {
+        "distinct-sphere": (gen_inputs(task, 200, rng), task.kern, lam),
+        "count-tree-repeats": (cells, task.kern, lam),
+        "one-point": (np.zeros((1, 2)), KERN2, 0.5),
+        "line": (line_model.points, KERN1, line_model.lam),
+    }
+
+
+@pytest.mark.parametrize(
+    "case", ["distinct-sphere", "count-tree-repeats", "one-point", "line"])
+def test_leverage_matches_the_cholesky_reference(case, oracle_cases):
+    points, kern, lam = oracle_cases[case]
+    model = build_spectral_model(points, kern, lam)
+    V = sample_tau(kern, 2000, np.random.default_rng(31))
+    np.testing.assert_allclose(unnormalized_leverage(model, V),
+                               _reference_leverage(points, kern, lam, V),
+                               rtol=ORACLE_RTOL, atol=0)
+
+
+def test_dof_matches_the_unfolded_trace_on_repeated_points(oracle_cases):
+    points, kern, lam = oracle_cases["count-tree-repeats"]
+    model = build_spectral_model(points, kern, lam)
+    assert model.num_points == 1000
+    assert 50 <= model.rows.shape[0] <= 200
+    assert abs(degree_of_freedom(model) - dof_from_trace(model)) <= 1e-10
+
+
+def test_spectrum_of_repeated_points_has_n0_values(oracle_cases):
+    points, kern, _ = oracle_cases["count-tree-repeats"]
+    mu = spectrum_of(points, kern)
+    assert mu.shape == (1000,)
+    unfolded = np.linalg.eigvalsh(gram(kern, points) / 1000)[::-1]
+    np.testing.assert_allclose(mu, np.clip(unfolded, 0.0, None),
+                               rtol=0, atol=1e-12)
