@@ -5,11 +5,16 @@ box is padded so every coordinate spans a power-of-two number of cells, which
 lets a cell be addressed by a fixed-width bit string (coordinate-major, most
 significant bit first).  Counts live in a sparse binary tree whose root holds
 the total and where every internal node equals the sum of its two children,
-so inserting a point touches exactly ``depth + 1`` nodes and drawing a cell
-proportional to its count walks one root-to-leaf path.
+so adding a cell's count touches exactly ``depth + 1`` nodes and drawing a
+cell proportional to its count walks one root-to-leaf path.
 
-Usage contract: build first (increments), then freeze and sample.  The tree
-is not thread safe.
+``build_tree`` fills a tree from a whole batch: it quantizes the batch in one
+pass, sorts the rows of cell indices to find the distinct cells, and costs
+``depth + 1`` node updates per distinct cell rather than per point.
+``CountTree.increment`` is the streaming path, one point at a time.
+
+Usage contract: build first (batch build, increments), then freeze and
+sample.  The tree is not thread safe.
 """
 
 from __future__ import annotations
@@ -79,26 +84,41 @@ class GridSpec:
         return self.dim * self.bits_per_coord
 
     def coord_indices(self, x) -> np.ndarray:
-        """Cell index of x along each coordinate; raises if x leaves the box."""
+        """Cell indices of one point (D,) or a batch (n, D), coordinate by
+        coordinate; raises if any coordinate leaves the box or is NaN."""
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.dim,):
-            raise ConfigError(f"point must have shape ({self.dim},), got {x.shape}")
-        if np.any(x < self.lower) or np.any(x > self.upper):
-            bad = int(np.argmax((x < self.lower) | (x > self.upper)))
+        if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
+            raise ConfigError(f"point must have shape ({self.dim},) or "
+                              f"(n, {self.dim}), got {x.shape}")
+        # written as "inside" so that NaN, which compares False, is outside
+        inside = (x >= self.lower) & (x <= self.upper)
+        if not inside.all():
+            where = np.argwhere(~inside)[0]
+            bad = int(where[-1])
+            point = f"point {int(where[0])}, " if x.ndim == 2 else ""
             raise OutOfBoxError(
-                f"coordinate {bad}: value {x[bad]} outside "
+                f"{point}coordinate {bad}: value {x[tuple(where)]} outside "
                 f"[{self.lower[bad]}, {self.upper[bad]}]"
             )
         idx = np.floor((x - self.lower) / self.delta).astype(np.int64)
         # x exactly on the upper face belongs to the last cell
         return np.minimum(idx, self.cells_per_coord - 1)
 
-    def leaf_of(self, x) -> int:
-        """Integer leaf address of x (coordinate-major bit concatenation)."""
+    def _leaf_address(self, idx) -> int:
+        """Leaf address of one row of cell indices, as a Python int so that
+        grids deeper than 63 bits keep working."""
         leaf = 0
-        for i in self.coord_indices(x):
+        for i in idx:
             leaf = (leaf << self.bits_per_coord) | int(i)
         return leaf
+
+    def leaf_of(self, x) -> int:
+        """Integer leaf address of x (coordinate-major bit concatenation)."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:
+            raise ConfigError(f"point must have shape ({self.dim},), "
+                              f"got {x.shape}")
+        return self._leaf_address(self.coord_indices(x))
 
     def leaf_bits(self, leaf: int) -> str:
         return format(leaf, f"0{self.depth}b")
@@ -226,8 +246,17 @@ class CountTree:
 
 
 def build_tree(points, lower, upper, delta: float) -> CountTree:
-    """Quantize a batch of points into a fresh tree over the given box."""
-    tree = CountTree(GridSpec.build(lower, upper, delta))
-    for x in np.atleast_2d(np.asarray(points, dtype=float)):
-        tree.increment(x)
+    """Quantize a batch of points into a fresh tree over the given box.
+
+    The batch is quantized at once and its rows of cell indices sorted to
+    find the distinct cells, so the build costs one row sort plus
+    ``depth + 1`` node updates per distinct cell.  Use
+    ``CountTree.increment`` to stream further points into the tree.
+    """
+    spec = GridSpec.build(lower, upper, delta)
+    idx = spec.coord_indices(np.atleast_2d(points))
+    cells, counts = np.unique(idx, axis=0, return_counts=True)
+    tree = CountTree(spec)
+    for row, count in zip(cells.tolist(), counts.tolist()):
+        tree._add(spec._leaf_address(row), count)
     return tree

@@ -159,6 +159,119 @@ def test_out_of_box_increment_names_coordinate():
         tree.increment(np.array([0.5, 7.0]))
 
 
+def test_nan_coordinate_is_out_of_box():
+    # NaN compares False both ways, so a bounds test written as "outside"
+    # used to let it through onto a negative leaf
+    lower, upper = [0.0, 0.0], [1.0, 1.0]
+    tree = CountTree(GridSpec.build(lower, upper, 0.25))
+    with pytest.raises(OutOfBoxError, match="coordinate 0"):
+        tree.increment(np.array([np.nan, 0.5]))
+    assert tree.total() == 0
+    with pytest.raises(OutOfBoxError, match="point 1, coordinate 0"):
+        build_tree([[0.1, 0.2], [np.nan, 0.5]], lower, upper, 0.25)
+
+
+# --- batch build against streaming inserts -----------------------------------
+
+
+def _streamed(points, lower, upper, delta) -> CountTree:
+    """Reference tree: one increment per point, in order."""
+    tree = CountTree(GridSpec.build(lower, upper, delta))
+    for x in np.asarray(points, dtype=float).reshape(-1, len(lower)):
+        tree.increment(x)
+    return tree
+
+
+def _assert_same_tree(got: CountTree, want: CountTree) -> None:
+    assert got._levels == want._levels
+    assert got.dump() == want.dump()
+    assert np.array_equal(got.expanded_points(), want.expanded_points())
+    if want.total() == 0:
+        with pytest.raises(ConfigError):
+            got.sample_cell(np.random.default_rng(0))
+        return
+    rng_got, rng_want = np.random.default_rng(6), np.random.default_rng(6)
+    for _ in range(1000):
+        bits, center = got.sample_cell(rng_got)
+        bits_want, center_want = want.sample_cell(rng_want)
+        assert bits == bits_want
+        assert np.array_equal(center, center_want)
+
+
+def _batch_cases():
+    rng = np.random.default_rng(5)
+    repeated = rng.permutation(
+        np.repeat(rng.random((7, 2)), [1, 2, 3, 5, 8, 13, 21], axis=0))
+    padded = GridSpec.build([0.0, 0.0], [1.0, 1.0], 0.3).upper  # 1.2, 1.2
+    face = np.array([[1.0, 0.3], [0.3, 1.0], [1.0, 1.0], [0.0, 1.0],
+                     [1.0, 1.0]])
+    fine = np.vstack([rng.random((200, 2)), [[1 - 2.0**-40, 1.0]] * 3,
+                      [[0.0, 0.0]]])
+    return {
+        "1d": (rng.random((300, 1)), [0.0], [1.0], 1 / 16),
+        "2d": (rng.uniform([-1.0, 3.0], [2.0, 4.5], (500, 2)), [-1.0, 3.0],
+               [2.0, 4.5], 0.1),
+        "3d": (rng.uniform(-1.0, 1.0, (400, 3)), [-1.0] * 3, [1.0] * 3, 0.2),
+        "repeated": (repeated, [0.0, 0.0], [1.0, 1.0], 0.125),
+        "upper-face": (face, [0.0, 0.0], [1.0, 1.0], 0.25),
+        "padded-upper-face": (np.vstack([face, padded]), [0.0, 0.0],
+                              [1.0, 1.0], 0.3),
+        "empty": (np.empty((0, 2)), [0.0, 0.0], [1.0, 1.0], 0.25),
+        "80-bit": (fine, [0.0, 0.0], [1.0, 1.0], 2.0**-40),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_batch_cases()))
+def test_batch_build_equals_streamed_inserts(case):
+    points, lower, upper, delta = _batch_cases()[case]
+    tree = build_tree(points, lower, upper, delta)
+    assert tree.total() == len(points)
+    if case == "80-bit":
+        assert tree.spec.depth == 80
+        assert max(tree._levels[-1]) >= 2**63
+    _assert_same_tree(tree, _streamed(points, lower, upper, delta))
+
+
+def test_coord_indices_of_a_batch_match_its_rows():
+    spec = GridSpec.build([-1.0, 2.0, 0.0], [1.0, 4.0, 0.5], 0.125)
+    x = np.random.default_rng(7).uniform(spec.lower, spec.upper, (50, 3))
+    idx = spec.coord_indices(x)
+    assert idx.shape == (50, 3)
+    assert np.array_equal(idx, [spec.coord_indices(row) for row in x])
+
+
+def test_increments_after_batch_build_equal_streamed_union():
+    rng = np.random.default_rng(8)
+    lower, upper, delta = [0.0, -1.0], [2.0, 1.0], 1 / 8
+    first = rng.uniform(lower, upper, (300, 2))
+    more = np.vstack([rng.uniform(lower, upper, (50, 2)), first[:20]])
+    tree = build_tree(first, lower, upper, delta)
+    for x in more:
+        assert tree.increment(x) == tree.spec.depth + 1
+    union = np.vstack([first, more])
+    _assert_same_tree(tree, _streamed(union, lower, upper, delta))
+
+
+@pytest.mark.parametrize("row", [0, 17, 39])
+@pytest.mark.parametrize("value", [1.5, -0.25, np.nan, np.inf])
+def test_bad_point_anywhere_in_batch_raises(row, value):
+    points = np.random.default_rng(9).random((40, 2))
+    points[row, 1] = value
+    with pytest.raises(OutOfBoxError, match=f"point {row}, coordinate 1"):
+        build_tree(points, [0.0, 0.0], [1.0, 1.0], 0.25)
+
+
+@pytest.mark.parametrize("points", [
+    np.zeros((5, 3)),
+    np.zeros((5, 1)),
+    np.zeros((2, 5, 2)),
+    [],
+], ids=["too-wide", "too-narrow", "three-axes", "no-coordinates"])
+def test_batch_of_wrong_shape_raises(points):
+    with pytest.raises(ConfigError, match="shape"):
+        build_tree(points, [0.0, 0.0], [1.0, 1.0], 0.25)
+
+
 # --- file format --------------------------------------------------------------
 
 
