@@ -25,8 +25,8 @@ import numpy as np
 from . import store
 from .errors import CertificationError, ConfigError, SamplerAbort
 from .features import load_feature_set, format_feature_set
-from .fileio import (append_csv_row, atomic_write, fmt, lines, located,
-                     number, number_list)
+from .fileio import (append_csv_row, atomic_write, csv_is_new, fmt, lines,
+                     located, number, number_list)
 from .leverage import (
     build_spectral_model,
     expected_acceptance,
@@ -245,8 +245,17 @@ def _resolve(args) -> dict:
     return vals
 
 
-def _check_out(path, force):
-    if not force and os.path.exists(path):
+def _check_out(path, force=False, header=None):
+    """Fail before any work when ``path`` cannot take this command's output:
+    its directory is missing, or it exists and ``force`` is off.  A CSV the
+    command appends to (``header`` given) may exist, but only with that
+    header."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"{path}: directory {directory} does not exist")
+    if header is not None:
+        csv_is_new(path, header)
+    elif not force and os.path.exists(path):
         raise FileExistsError(f"{path} exists; pass --force to overwrite")
 
 
@@ -271,8 +280,14 @@ def _cmd_gen_task(v):
 
 # --- sample-features --------------------------------------------------------
 
+_DIAGNOSTICS_HEADER = ("task,mode,M,lambda,sampler,n_unlabeled,accept_rate,"
+                       "expected_acceptance,per_sample_ms,seed")
+
+
 def _cmd_sample_features(v):
     _check_out(v["out"], v["force"])
+    if v["diagnostics"]:
+        _check_out(v["diagnostics"], header=_DIAGNOSTICS_HEADER)
     task = load_task(v["task"])
     rng_unlab, rng_feat = (
         np.random.default_rng(s)
@@ -303,9 +318,7 @@ def _cmd_sample_features(v):
     atomic_write(v["out"], format_feature_set(fs), force=True)
     if v["diagnostics"]:
         append_csv_row(
-            v["diagnostics"],
-            "task,mode,M,lambda,sampler,n_unlabeled,accept_rate,"
-            "expected_acceptance,per_sample_ms,seed",
+            v["diagnostics"], _DIAGNOSTICS_HEADER,
             ",".join([
                 task.name, v["mode"], str(v["m"]),
                 "none" if fs.lam is None else fmt(fs.lam), v["sampler"],
@@ -350,6 +363,7 @@ def _cmd_train(v):
 # --- eval ---------------------------------------------------------------------
 
 def _cmd_eval(v):
+    _check_out(v["out"], header=RECORD_COLUMNS)
     task = load_task(v["task"])
     clf = load_classifier(v["classifier"])
     lam = v["lam"] if v["lam"] is not None else (clf.feature_set.lam or 0.0)

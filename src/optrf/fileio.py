@@ -132,10 +132,31 @@ def atomic_write(path, text: str, force: bool = False) -> None:
         raise
 
 
-def append_csv_row(path, header: str, row: str) -> None:
-    """Append one CSV row, writing the header first when the file is new."""
+def csv_is_new(path, header: str) -> bool:
+    """Whether ``path`` does not exist yet; ConfigError when it exists and
+    its first line is not ``header``, so a row never lands in a file of
+    another kind or schema."""
     path = os.fspath(path)
-    new = not os.path.exists(path)
+    try:
+        fh = open(path, "r", encoding="utf-8")
+    except FileNotFoundError:
+        return True
+    with fh, located(path):
+        try:
+            first = fh.readline()
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"not UTF-8 text ({exc.reason})") from None
+        if first.rstrip("\r\n") != header:
+            raise ConfigError(f"first line is not the header {header!r}; "
+                              f"refusing to append")
+    return False
+
+
+def append_csv_row(path, header: str, row: str) -> None:
+    """Append one CSV row, writing the header first when the file is new;
+    an existing file must start with ``header`` (see ``csv_is_new``)."""
+    path = os.fspath(path)
+    new = csv_is_new(path, header)
     with open(path, "a", encoding="utf-8") as fh:
         if new:
             fh.write(header + "\n")

@@ -17,6 +17,10 @@ Repeated points are folded: n distinct rows of weight w = count / N0 give
 A = W^1/2 K W^1/2 (K their Gram matrix, W = diag(w)), which has the nonzero
 spectrum of K/N0.  One eigendecomposition A = U diag(mu) U^T yields d(lam)
 and B = W^1/2 U diag(mu + lam)^-1/2, with ell(v) = |B^T cos|^2 + |B^T sin|^2.
+
+The module needs numpy only: the trace-route check on d(lam) is one
+``numpy.linalg.solve``, and the grid sampler's tau masses come from a normal
+CDF on ``math.erf``/``math.erfc`` evaluated at the cells+1 grid edges.
 """
 
 from __future__ import annotations
@@ -25,8 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.special import ndtr
 
 from .errors import ConfigError, SamplerAbort
 from .features import FeatureSet, GaussianKernel, gram, sample_tau
@@ -114,8 +116,7 @@ def build_spectral_model(points, kern: GaussianKernel, lam: float) -> SpectralMo
         raise ConfigError(f"lam must be positive, got {lam}")
     points, rows, A, mu, U = _folded_eigh(points, kern)
     dof_eig = float((mu / (mu + lam)).sum())
-    chol = cho_factor(A + lam * np.eye(len(A)), lower=True)
-    dof_tr = float(np.trace(cho_solve(chol, A)))
+    dof_tr = _trace_dof(A, lam)
     if abs(dof_eig - dof_tr) > DOF_AGREE_TOL:
         raise RuntimeError(
             f"degree-of-freedom routes disagree: eig {dof_eig!r} vs trace {dof_tr!r}"
@@ -125,6 +126,11 @@ def build_spectral_model(points, kern: GaussianKernel, lam: float) -> SpectralMo
                          basis=basis, dof=dof_eig)
 
 
+def _trace_dof(A: np.ndarray, lam: float) -> float:
+    """tr[A (A + lam I)^-1] = tr[(A + lam I)^-1 A] by one dense solve."""
+    return float(np.trace(np.linalg.solve(A + lam * np.eye(len(A)), A)))
+
+
 def degree_of_freedom(model: SpectralModel) -> float:
     """d(lam) = sum_i mu_i / (mu_i + lam) over the eigenvalues of K/N0."""
     return model.dof
@@ -132,9 +138,8 @@ def degree_of_freedom(model: SpectralModel) -> float:
 
 def dof_from_trace(model: SpectralModel) -> float:
     """d(lam) via tr[K/N0 (K/N0 + lam I)^{-1}] on all N0 rows, unfolded."""
-    Kn = gram(model.kern, model.points) / model.num_points
-    chol = cho_factor(Kn + model.lam * np.eye(model.num_points), lower=True)
-    return float(np.trace(cho_solve(chol, Kn)))
+    return _trace_dof(gram(model.kern, model.points) / model.num_points,
+                      model.lam)
 
 
 def q_max_bound(model: SpectralModel) -> float:
@@ -256,6 +261,21 @@ def sample_optimized_rejection(
     return fs, diag
 
 
+# 1/sqrt(2) correctly rounded, as cephes has it; 1/math.sqrt(2) is one ulp
+# low, which moves the far tails by up to 3e-14 relative
+_SQRT_HALF = math.sqrt(0.5)
+
+
+def _normal_cdf(x: float) -> float:
+    """Standard normal CDF, laid out as cephes' ndtr: erf near zero, erfc
+    in the tails, where 1 - erf would cancel."""
+    t = x * _SQRT_HALF
+    if abs(t) < _SQRT_HALF:
+        return 0.5 + 0.5 * math.erf(t)
+    y = 0.5 * math.erfc(abs(t))
+    return 1.0 - y if t > 0 else y
+
+
 @dataclass(frozen=True)
 class GridTabulation:
     """Exact tabulation of the optimized density on a rectangular grid.
@@ -290,7 +310,7 @@ def tabulate_optimized_density(
         raise ConfigError("grid tabulation only supports dimension <= 2")
     sigma = model.kern.tau_sigma
     half = half_width_sigmas * sigma
-    tail = 2.0 * ndtr(-half_width_sigmas)
+    tail = 2.0 * _normal_cdf(-half_width_sigmas)
     covered = (1.0 - tail) ** dim
     if covered < 1.0 - 1e-6:
         raise ConfigError(
@@ -298,7 +318,8 @@ def tabulate_optimized_density(
         )
     edges = [np.linspace(-half, half, cells_per_coord + 1) for _ in range(dim)]
     centers = [0.5 * (e[:-1] + e[1:]) for e in edges]
-    masses = [np.diff(ndtr(e / sigma)) for e in edges]
+    masses = [np.diff([_normal_cdf(t) for t in (e / sigma).tolist()])
+              for e in edges]
     grid = np.meshgrid(*centers, indexing="ij")
     V = np.stack([g.ravel() for g in grid], axis=1)
     tau_mass = np.prod(np.meshgrid(*masses, indexing="ij"), axis=0).ravel()

@@ -29,6 +29,10 @@ alpha . alpha (which also checks finiteness) whenever it nears or leaves
 the ball, after every projection, and at every 1024-row chunk boundary, so
 its rounding drift stays within one chunk.  Feature rows are built one
 chunk at a time; no N x 2M matrix is ever held.
+
+The step's vector operations are scipy's level-1 BLAS (ddot, dscal, daxpy),
+imported inside the loop's function, so only training loads scipy; the ridge
+oracle is one ``numpy.linalg.solve``.
 """
 
 from __future__ import annotations
@@ -38,8 +42,6 @@ from dataclasses import dataclass, field
 from itertools import islice
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import daxpy, ddot, dscal
 
 from .errors import ConfigError, StreamExhausted
 from .features import (FeatureSet, feature_pair, format_feature_set,
@@ -322,7 +324,10 @@ def _train(fs: FeatureSet, chunks, cfg: TrainConfig,
     iterates = np.empty((n, 2 * m)) if keep_iterates else None
 
     # BLAS level-1 calls update alpha and suffix in place; on vectors this
-    # short they cost a fraction of the equivalent numpy expressions
+    # short they cost a fraction of the equivalent numpy expressions.  They
+    # are the only scipy the package uses, so only training pays its import.
+    from scipy.linalg.blas import daxpy, ddot, dscal
+
     t = 0
     for X, ys in chunks:
         Phi = feature_matrix(fs, X)
@@ -391,7 +396,7 @@ def ridge_oracle(fs: FeatureSet, X, y, cfg: TrainConfig) -> RidgeSolution:
     n = Phi.shape[0]
     A = Phi.T @ Phi / n + cfg.mu * np.eye(2 * cfg.num_features)
     b = Phi.T @ y / n
-    alpha = cho_solve(cho_factor(A, lower=True), b)
+    alpha = np.linalg.solve(A, b)
     return RidgeSolution(alpha=alpha, alpha_ball=project_ball(alpha, cfg.radius))
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import astuple, dataclass, fields, replace
 from functools import partial
 
@@ -548,6 +547,8 @@ def _cell_worker(args):
 def _run_cells(cells, jobs: int):
     if jobs <= 1:
         return [_cell_worker(c) for c in cells]
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_cell_worker, cells))
 

@@ -294,6 +294,130 @@ def test_bad_flag_value_is_a_config_error(ws):
                "--out", ws / "z.csv") == EXIT_CONFIG
 
 
+# --- output paths: checked before any work, nothing half written ---------------
+
+
+@pytest.fixture(scope="module")
+def clf_file(ws):
+    """A small conventional classifier, with the feature file behind it."""
+    feats, clf = ws / "io_feats.txt", ws / "io_clf.txt"
+    assert run("sample-features", "--task", ws / "task.txt", "--mode",
+               "conventional", "--m", 2, "--out", feats) == EXIT_OK
+    assert run("train", "--task", ws / "task.txt", "--features", feats,
+               "--n", 20, "--lam", 0.02, "--out", clf) == EXIT_OK
+    return feats, clf
+
+
+_NO_DIR = {
+    "gen-task": lambda ws, feats, clf: ["gen-task", "--out", "nodir/task.txt"],
+    "sample-features": lambda ws, feats, clf: [
+        "sample-features", "--task", ws / "task.txt", "--m", 4,
+        "--n-unlabeled", 20, "--diagnostics", "nodir/d.csv",
+        "--out", "feats.txt"],
+    "train": lambda ws, feats, clf: [
+        "train", "--task", ws / "task.txt", "--features", feats, "--n", 20,
+        "--lam", 0.02, "--trace", "nodir/t.csv", "--out", "clf.txt"],
+    "eval": lambda ws, feats, clf: [
+        "eval", "--task", ws / "task.txt", "--classifier", clf,
+        "--n-test", 50, "--out", "nodir/m.csv"],
+    "sweep-n": lambda ws, feats, clf: [
+        "sweep-n", "--task", ws / "task.txt", "--mode", "conventional",
+        "--n-grid", "10", "--m", 2, "--trials", 1, "--n-test", 50,
+        "--out", "nodir/s.csv"],
+    "sweep-m": lambda ws, feats, clf: [
+        "sweep-m", "--task", ws / "task.txt", "--m-grid", "2", "--n", 10,
+        "--trials", 1, "--n-test", 50, "--n-unlabeled", 20,
+        "--out", "nodir/s.csv"],
+    "spectrum": lambda ws, feats, clf: [
+        "spectrum", "--task", ws / "task.txt", "--n-unlabeled", 20,
+        "--lam-grid", "0.1", "--out", "nodir/spec"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_NO_DIR))
+def test_missing_output_directory_exits_5_with_nothing_written(
+        command, ws, clf_file, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run(*_NO_DIR[command](ws, *clf_file)) == EXIT_IO
+    captured = capsys.readouterr()
+    assert "nodir does not exist" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_eval_refuses_to_append_to_a_foreign_file(ws, clf_file, tmp_path,
+                                                  capsys):
+    task = tmp_path / "task.txt"
+    task.write_bytes((ws / "task.txt").read_bytes())
+    diag = tmp_path / "diag.csv"
+    assert run("sample-features", "--task", task, "--m", 4, "--n-unlabeled",
+               20, "--diagnostics", diag, "--out", tmp_path / "f.txt") == EXIT_OK
+    for target in (task, diag):
+        before = target.read_bytes()
+        capsys.readouterr()
+        assert run("eval", "--task", ws / "task.txt", "--classifier",
+                   clf_file[1], "--n-test", 50, "--out", target) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {target}: first line is not the header")
+        assert target.read_bytes() == before
+
+
+def test_sample_features_checks_the_diagnostics_header_first(ws, clf_file,
+                                                             tmp_path):
+    metrics = tmp_path / "metrics.csv"
+    assert run("eval", "--task", ws / "task.txt", "--classifier", clf_file[1],
+               "--n-test", 50, "--out", metrics) == EXIT_OK
+    before = metrics.read_bytes()
+    out = tmp_path / "feats.txt"
+    assert run("sample-features", "--task", ws / "task.txt", "--m", 4,
+               "--n-unlabeled", 20, "--diagnostics", metrics,
+               "--out", out) == EXIT_CONFIG
+    assert metrics.read_bytes() == before
+    assert not out.exists()
+
+
+# --- imports -----------------------------------------------------------------
+
+_SCIPY_MODULES = (
+    "import sys\n"
+    "from optrf.cli import main\n"
+    "rc = main(sys.argv[1:])\n"
+    "print(rc, *sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+)
+
+
+def test_only_train_loads_scipy(tmp_path):
+    # each command in a fresh interpreter; train needs scipy's level-1 BLAS
+    src = str(Path(optrf.__file__).resolve().parents[1])
+
+    def scipy_modules(*argv):
+        proc = subprocess.run(
+            [sys.executable, "-c", _SCIPY_MODULES, *argv], cwd=tmp_path,
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src})
+        rc, *mods = proc.stdout.splitlines()[-1].split()
+        assert rc == "0", proc.stderr
+        return set(mods)
+
+    task = ("--task", "task.txt")
+    assert scipy_modules("gen-task", "--kind", "subgaussian",
+                         "--out", "task.txt") == set()
+    assert scipy_modules("sample-features", *task, "--sampler", "grid",
+                         "--store-delta", "0.05", "--grid-cells", "16",
+                         "--m", "8", "--n-unlabeled", "50",
+                         "--out", "grid.txt") == set()
+    assert scipy_modules("sample-features", *task, "--m", "8",
+                         "--n-unlabeled", "50", "--out", "rej.txt") == set()
+    trained = scipy_modules("train", *task, "--features", "rej.txt",
+                            "--n", "20", "--out", "clf.txt")
+    assert "scipy.linalg.blas" in trained
+    assert "scipy.special" not in trained
+    assert scipy_modules("eval", *task, "--classifier", "clf.txt",
+                         "--n-test", "100", "--out", "m.csv") == set()
+    assert scipy_modules("spectrum", *task, "--n-unlabeled", "30",
+                         "--lam-grid", "0.1", "--out", "spec") == set()
+
+
 def test_import_leaves_scipy_stats_unloaded():
     # every optrf command pays the import; scipy.stats alone costs ~1 s
     code = "import sys, optrf.cli; print('scipy.stats' in sys.modules)"

@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 from scipy import stats
 from scipy.linalg import cho_factor, cho_solve
+from scipy.special import ndtr
 
+from optrf import leverage
 from optrf.errors import ConfigError, SamplerAbort
 from optrf.features import GaussianKernel, gram, sample_tau
 from optrf.leverage import (
     _BATCH,
+    _folded_eigh,
+    _normal_cdf,
+    _trace_dof,
     build_spectral_model,
     degree_of_freedom,
     dof_from_trace,
@@ -278,3 +283,62 @@ def test_spectrum_of_repeated_points_has_n0_values(oracle_cases):
     unfolded = np.linalg.eigvalsh(gram(kern, points) / 1000)[::-1]
     np.testing.assert_allclose(mu, np.clip(unfolded, 0.0, None),
                                rtol=0, atol=1e-12)
+
+
+# --- scipy-free replacements against the scipy routines they replaced --------
+
+# scipy's ndtr forms its tail as exp(-z*z) times a rational function, with
+# z*z rounded: a relative error up to z^2 2^-53, 8e-15 at |x| = 12, which
+# math.erfc does not make; near zero the two agree within 2.5e-15
+NDTR_RTOL = 1e-14
+
+
+def test_normal_cdf_matches_scipy_ndtr():
+    x = np.linspace(-12.0, 12.0, 24001)
+    ours = np.array([_normal_cdf(t) for t in x.tolist()])
+    np.testing.assert_allclose(ours, ndtr(x), rtol=NDTR_RTOL, atol=0)
+    assert _normal_cdf(0.0) == 0.5
+
+
+@pytest.mark.parametrize("case", ["count-tree-repeats", "line"])
+@pytest.mark.parametrize("cells", [128, 512])
+def test_grid_tabulation_matches_the_scipy_cdf(case, cells, oracle_cases,
+                                               monkeypatch):
+    points, kern, lam = oracle_cases[case]
+    # 40 rows keep a 512^2 grid cheap; the count-tree rows still repeat
+    model = build_spectral_model(points[:40], kern, lam)
+    tab = tabulate_optimized_density(model, cells)
+    draws = [sample_optimized_grid(model, 500, np.random.default_rng(seed),
+                                   cells)[0].freqs for seed in range(2)]
+    monkeypatch.setattr(leverage, "_normal_cdf", lambda t: float(ndtr(t)))
+    ref = tabulate_optimized_density(model, cells)
+    # past zero both CDFs return 1 - tail, and their tails differ by ulps,
+    # so an edge may round to the neighbouring double: 2^-53 per edge, up to
+    # 2^-52 q(v) in a cell's probability (q averages one under tau)
+    grid = np.meshgrid(*tab.centers, indexing="ij")
+    q = leverage_score(model, np.stack([g.ravel() for g in grid], axis=1))
+    assert np.all(np.abs(tab.probs - ref.probs)
+                  <= 1e-13 * ref.probs + 2.0**-51 * q)
+    assert tab.covered == pytest.approx(ref.covered, rel=1e-15)
+    for seed, freqs in enumerate(draws):
+        want = sample_optimized_grid(model, 500, np.random.default_rng(seed),
+                                     cells)[0].freqs
+        assert np.array_equal(freqs, want)
+
+
+def _cholesky_trace_dof(A, lam):
+    return float(np.trace(cho_solve(cho_factor(A + lam * np.eye(len(A)),
+                                               lower=True), A)))
+
+
+@pytest.mark.parametrize(
+    "case", ["distinct-sphere", "count-tree-repeats", "one-point", "line"])
+def test_trace_dof_matches_the_cholesky_reference(case, oracle_cases):
+    points, kern, lam = oracle_cases[case]
+    model = build_spectral_model(points, kern, lam)
+    unfolded = gram(kern, model.points) / model.num_points
+    assert abs(dof_from_trace(model)
+               - _cholesky_trace_dof(unfolded, lam)) <= 1e-12
+    folded = _folded_eigh(points, kern)[2]
+    assert abs(_trace_dof(folded, lam)
+               - _cholesky_trace_dof(folded, lam)) <= 1e-12

@@ -2,6 +2,7 @@ from itertools import islice
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 
 from optrf.errors import ConfigError, StreamExhausted
 from optrf.features import FeatureSet, feature_pair
@@ -468,6 +469,20 @@ def test_ridge_oracle_shrinks_to_zero_under_huge_penalty():
     rng = np.random.default_rng(18)
     sol = ridge_oracle(fs, rng.normal(size=(20, 1)), rng.normal(size=20), cfg)
     assert np.linalg.norm(sol.alpha) < 1e-6
+
+
+@pytest.mark.parametrize("lam", [1e-4, 0.0144, 0.5])
+def test_ridge_oracle_matches_the_cholesky_reference(lam):
+    task = make_sphere_task()
+    fs = make_features(32, 2, seed=41)
+    cfg = TrainConfig(lam=lam, num_features=32, stream_length=2, q_min=1.0,
+                      f_norm=task.f_norm)
+    X, y = labeled_arrays(task, 500, np.random.default_rng(41))
+    Phi = feature_matrix(fs, X)
+    A = Phi.T @ Phi / 500 + cfg.mu * np.eye(64)
+    want = cho_solve(cho_factor(A, lower=True), Phi.T @ y / 500)
+    sol = ridge_oracle(fs, X, y, cfg)
+    np.testing.assert_allclose(sol.alpha, want, rtol=0, atol=1e-12)
 
 
 def test_sgd_approaches_the_ridge_optimum():
