@@ -1,10 +1,10 @@
 """Leverage-optimized random Fourier features for kernel classification.
 
-The package splits into feature maps and kernel estimators (``features``),
-a mergeable count store over a dyadic grid (``store``), ridge leverage
-scores and the optimized feature sampler (``leverage``), the streaming
-SGD learner (``sgd``), synthetic task generators and experiment sweeps
-(``tasks``), plus a command line front end (``cli``).
+The package splits into feature maps and the feature-set format
+(``features``), an in-memory count tree over a dyadic grid (``store``),
+ridge leverage scores and the optimized feature sampler (``leverage``), the
+streaming SGD learner (``sgd``), synthetic task generators and experiment
+sweeps (``tasks``), plus a command line front end (``cli``).
 """
 
 from .errors import (
@@ -20,11 +20,9 @@ from .features import (
     eval_kernel,
     feature_pair,
     gram,
-    kernel_importance_estimate,
     kernel_mc_estimate,
     load_feature_set,
     sample_tau,
-    save_feature_set,
 )
 from .leverage import (
     SamplerDiagnostics,
@@ -52,8 +50,6 @@ from .sgd import (
     project_ball,
     regularized_empirical_loss,
     ridge_oracle,
-    save_classifier,
-    theorem_hyperparams,
     theorem_lambda,
     train,
     train_arrays,
@@ -65,10 +61,8 @@ from .tasks import (
     SphereDist,
     SubgaussianDist,
     SyntheticTask,
-    bayes_classifier,
     certify_task,
     evaluate,
-    excess_error,
     f_star,
     fit_rescale,
     gen_inputs,
@@ -79,7 +73,6 @@ from .tasks import (
     make_subgaussian_task,
     run_cell,
     sample_label,
-    save_task,
     spectrum_report,
     sweep_error_vs_M,
     sweep_error_vs_N,

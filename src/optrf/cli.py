@@ -26,7 +26,7 @@ from . import store
 from .errors import CertificationError, ConfigError, SamplerAbort
 from .features import load_feature_set, format_feature_set
 from .fileio import (append_csv_row, atomic_write, csv_is_new, fmt, lines,
-                     located, number, number_list)
+                     located, number)
 from .leverage import (
     build_spectral_model,
     expected_acceptance,
@@ -104,6 +104,24 @@ _parse_int = partial(_parse_number, int)
 _parse_positive = _parse_number(float, 0.0, strict=True)
 
 
+def _parse_stream_length(s):
+    v = _parse_int(2)(s)
+    if v % 2:
+        raise ConfigError(f"expected an even int >= 2, got {v}")
+    return v
+
+
+def _parse_list(item):
+    """A non-empty comma list whose entries each pass ``item``; blank
+    entries are skipped."""
+    def parse(s):
+        values = [item(t) for t in s.split(",") if t.strip()]
+        if not values:
+            raise ConfigError(f"expected a comma list of values, got {s!r}")
+        return values
+    return parse
+
+
 def _parse_choice(*choices):
     def parse(s):
         if s not in choices:
@@ -130,18 +148,19 @@ OPTIONS = {
                 "feature distribution: conventional | optimized",
                 "optimized"),
     "m": Opt(_parse_int(1), "number of features M (int >= 1)", 32),
-    "m_grid": Opt(partial(number_list, kind=int),
+    "m_grid": Opt(_parse_list(_parse_int(1)),
                   "comma list of feature counts (ints >= 1)",
                   [2, 4, 8, 16, 32, 64]),
-    "n": Opt(_parse_int(2), "stream length N (even int >= 2)", 8192),
-    "n_grid": Opt(partial(number_list, kind=int),
+    "n": Opt(_parse_stream_length, "stream length N (even int >= 2)", 8192),
+    "n_grid": Opt(_parse_list(_parse_stream_length),
                   "comma list of stream lengths (even ints >= 2)",
                   [128, 256, 512, 1024, 2048, 4096, 8192, 16384]),
     "trials": Opt(_parse_int(1), "trials per grid point (int >= 1)", 10),
     "lam": Opt(_parse_positive,
                "ridge level lambda (float > 0; default: the guarantee's "
                "schedule when sampling or sweeping, else the input file's)"),
-    "lam_grid": Opt(number_list, "comma list of lambda values (floats > 0)",
+    "lam_grid": Opt(_parse_list(_parse_positive),
+                    "comma list of lambda values (floats > 0)",
                     [10.0**e for e in (-4, -3.5, -3, -2.5, -2, -1.5, -1)]),
     "q_min": Opt(_parse_positive, "density floor q_min in (0, 1]"),
     "p": Opt(_parse_number(float, 0.0),

@@ -8,7 +8,9 @@ coordinates.  A frequency v maps an input x to the feature pair
 
 and averaging products of feature pairs over v ~ tau recovers the kernel.
 Feature sets sampled from a reweighted (leverage-optimized) distribution carry
-per-frequency weights so the same average can be importance-corrected.
+the density ratio q(v) of each frequency, which the trainer checks against
+its q_min hypothesis.  The feature-set text format is defined here; the
+classifier format in ``sgd`` embeds it.
 """
 
 from __future__ import annotations
@@ -18,8 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import (atomic_write, fmt, lines, load, number, parse_header,
-                     parse_row)
+from .fileio import fmt, lines, load, number, parse_header, parse_row
 
 FEATURE_MODES = ("conventional", "optimized")
 
@@ -94,8 +95,7 @@ class FeatureSet:
     mode            : "conventional" (drawn from tau) or "optimized"
                       (drawn from a leverage-reweighted distribution).
     leverage_values : optional length-M array of the sampling density ratio
-                      q(v_m) relative to tau, required for importance-weighted
-                      kernel estimates; each entry must be positive.
+                      q(v_m) relative to tau; each entry must be positive.
     lam             : ridge parameter the optimized distribution was built
                       for; present exactly when mode == "optimized".
     """
@@ -133,27 +133,11 @@ class FeatureSet:
         return self.freqs.shape[1]
 
 
-def _pair_products(fs: FeatureSet, x, y) -> np.ndarray:
-    cx, sx = feature_pair(fs.freqs, np.asarray(x, dtype=float))
-    cy, sy = feature_pair(fs.freqs, np.asarray(y, dtype=float))
-    return cx * cy + sx * sy
-
-
 def kernel_mc_estimate(fs: FeatureSet, x, y) -> float:
     """Plain Monte Carlo kernel estimate (1/M) sum_m [cc' + ss']."""
-    return float(_pair_products(fs, x, y).mean())
-
-
-def kernel_importance_estimate(fs: FeatureSet, x, y) -> float:
-    """Importance-weighted kernel estimate sum_m [cc' + ss'] / (M q_m).
-
-    Unbiased when the frequencies were drawn from the density q * tau and
-    ``leverage_values`` stores q at each accepted frequency.
-    """
-    if fs.leverage_values is None:
-        raise ConfigError("feature set has no leverage values to weight with")
-    w = 1.0 / (fs.num_features * fs.leverage_values)
-    return float((w * _pair_products(fs, x, y)).sum())
+    cx, sx = feature_pair(fs.freqs, np.asarray(x, dtype=float))
+    cy, sy = feature_pair(fs.freqs, np.asarray(y, dtype=float))
+    return float((cx * cy + sx * sy).mean())
 
 
 # --- external file format -------------------------------------------------
@@ -200,10 +184,6 @@ def parse_feature_set(text: str) -> FeatureSet:
         leverage_values=np.asarray(qs) if qs else None,
         lam=head["lambda"],
     )
-
-
-def save_feature_set(fs: FeatureSet, path, force: bool = True) -> None:
-    atomic_write(path, format_feature_set(fs), force=force)
 
 
 def load_feature_set(path) -> FeatureSet:

@@ -20,7 +20,8 @@ and B = W^1/2 U diag(mu + lam)^-1/2, with ell(v) = |B^T cos|^2 + |B^T sin|^2.
 
 The module needs numpy only: the trace-route check on d(lam) is one
 ``numpy.linalg.solve``, and the grid sampler's tau masses come from a normal
-CDF on ``math.erf``/``math.erfc`` evaluated at the cells+1 grid edges.
+CDF on ``math.erf``/``math.erfc`` evaluated at the cells+1 grid edges, with
+the cells past zero differenced in the upper tail.
 """
 
 from __future__ import annotations
@@ -276,6 +277,17 @@ def _normal_cdf(x: float) -> float:
     return 1.0 - y if t > 0 else y
 
 
+def _cell_masses(edges: np.ndarray) -> np.ndarray:
+    """Standard normal mass between consecutive edges.  A cell whose lower
+    edge is >= 0 takes Phi(-a) - Phi(-b), a difference of two upper tails,
+    so no mass is a difference of two numbers near one; the positive half
+    then mirrors the negative half to the last digits."""
+    t = edges.tolist()
+    lower = np.array([_normal_cdf(x) for x in t])
+    upper = np.array([_normal_cdf(-x) for x in t])
+    return np.where(edges[:-1] >= 0, upper[:-1] - upper[1:], np.diff(lower))
+
+
 @dataclass(frozen=True)
 class GridTabulation:
     """Exact tabulation of the optimized density on a rectangular grid.
@@ -318,8 +330,7 @@ def tabulate_optimized_density(
         )
     edges = [np.linspace(-half, half, cells_per_coord + 1) for _ in range(dim)]
     centers = [0.5 * (e[:-1] + e[1:]) for e in edges]
-    masses = [np.diff([_normal_cdf(t) for t in (e / sigma).tolist()])
-              for e in edges]
+    masses = [_cell_masses(e / sigma) for e in edges]
     grid = np.meshgrid(*centers, indexing="ij")
     V = np.stack([g.ravel() for g in grid], axis=1)
     tau_mass = np.prod(np.meshgrid(*masses, indexing="ij"), axis=0).ravel()

@@ -46,26 +46,10 @@ import numpy as np
 from .errors import ConfigError, StreamExhausted
 from .features import (FeatureSet, feature_pair, format_feature_set,
                        parse_feature_set)
-from .fileio import atomic_write, fmt, lines, load, parse_row
+from .fileio import fmt, lines, load, parse_row
 
 _CHUNK = 1024          # rows per feature-matrix chunk and norm resync
 _NSQ_GUARD = 1e-9      # relative band below radius^2 checked exactly
-
-
-class _Counter:
-    """Counts gradient prefactor evaluations; test instrumentation only."""
-
-    def __init__(self):
-        self.count = 0
-
-    def bump(self, k: int = 1):
-        self.count += k
-
-    def reset(self):
-        self.count = 0
-
-
-PREFACTOR_EVALS = _Counter()
 
 
 @dataclass(frozen=True)
@@ -165,22 +149,9 @@ def regularized_empirical_loss(clf: Classifier, X, y, lam: float,
     return float((resid**2).mean() + reg * (clf.alpha @ clf.alpha))
 
 
-def _grad_terms(phi: np.ndarray, alpha: np.ndarray, y: float,
-                reg2: float) -> tuple[np.ndarray, float]:
-    """Gradient and prediction at one example; the single prefactor site."""
-    pred = float(phi @ alpha)
-    prefactor = 2.0 * (pred - y)
-    PREFACTOR_EVALS.bump()
-    return prefactor * phi + reg2 * alpha, pred
-
-
 def grad_estimate(fs: FeatureSet, alpha, x, y: float, lam: float,
                   q_min: float, phi: np.ndarray | None = None) -> np.ndarray:
-    """Unbiased gradient estimate at one labeled example.
-
-    The prediction enters through a single scalar prefactor
-    2 (f(x) - y), computed exactly once per call (PREFACTOR_EVALS counts
-    those evaluations so tests can assert this), then
+    """Unbiased gradient estimate at one labeled example,
 
         g = 2 (f(x) - y) phi(x) + 2 lam M q_min alpha.
 
@@ -192,9 +163,8 @@ def grad_estimate(fs: FeatureSet, alpha, x, y: float, lam: float,
         phi = np.empty(2 * fs.num_features)
         phi[0::2] = c
         phi[1::2] = s
-    g, _ = _grad_terms(phi, alpha, float(y),
-                       2.0 * lam * fs.num_features * q_min)
-    return g
+    prefactor = 2.0 * (float(phi @ alpha) - float(y))
+    return prefactor * phi + (2.0 * lam * fs.num_features * q_min) * alpha
 
 
 def project_ball(alpha: np.ndarray, radius: float) -> np.ndarray:
@@ -249,19 +219,12 @@ def _exact_nsq(alpha: np.ndarray, t: int) -> float:
     return nsq
 
 
-def _pair_chunks(stream, n: int):
-    """Exactly n pairs from ``stream``, in order, as (X, y) chunk arrays."""
-    it = iter(stream)
-    t = 0
-    while t < n:
-        chunk = list(islice(it, min(_CHUNK, n - t)))
-        if not chunk:
-            raise StreamExhausted(
-                f"stream ended after {t} examples; {n} were promised"
-            )
-        yield (np.array([p[0] for p in chunk], dtype=float),
-               np.array([p[1] for p in chunk], dtype=float))
-        t += len(chunk)
+def _check_feature_count(fs: FeatureSet, cfg: TrainConfig) -> None:
+    if fs.num_features != cfg.num_features:
+        raise ConfigError(
+            f"feature set has M={fs.num_features} but config says "
+            f"{cfg.num_features}"
+        )
 
 
 def train(fs: FeatureSet, stream, cfg: TrainConfig,
@@ -269,11 +232,19 @@ def train(fs: FeatureSet, stream, cfg: TrainConfig,
     """Single pass of projected SGD over exactly N examples from ``stream``.
 
     ``stream`` is an iterable of (x, y) pairs; exactly ``cfg.stream_length``
-    of them are consumed, in order.  Raises StreamExhausted if the stream
-    runs dry early; otherwise behaves as ``train_arrays`` on the same pairs.
+    of them are consumed, in order, and stacked for ``train_arrays``.
+    Raises StreamExhausted if the stream runs dry early.
     """
-    return _train(fs, _pair_chunks(stream, cfg.stream_length), cfg,
-                  keep_iterates)
+    _check_feature_count(fs, cfg)
+    n = cfg.stream_length
+    pairs = list(islice(stream, n))
+    if len(pairs) < n:
+        raise StreamExhausted(
+            f"stream ended after {len(pairs)} examples; {n} were promised"
+        )
+    return train_arrays(fs, np.array([p[0] for p in pairs], dtype=float),
+                        np.array([p[1] for p in pairs], dtype=float), cfg,
+                        keep_iterates)
 
 
 def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
@@ -282,7 +253,8 @@ def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
 
     Raises RuntimeError (with the iteration index) if an update produces
     non-finite coefficients.  Returns the suffix-averaged classifier
-    (2/N) sum of iterates N/2+1 ... N and the trace.
+    (2/N) sum of iterates N/2+1 ... N and the trace.  The step is described
+    in the module docstring.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -292,19 +264,7 @@ def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
             f"need {n} examples as an (N, D) array and N labels, got "
             f"shapes {X.shape} and {y.shape}"
         )
-    chunks = ((X[s:s + _CHUNK], y[s:s + _CHUNK]) for s in range(0, n, _CHUNK))
-    return _train(fs, chunks, cfg, keep_iterates)
-
-
-def _train(fs: FeatureSet, chunks, cfg: TrainConfig,
-           keep_iterates: bool) -> tuple[Classifier, TrainTrace]:
-    """The SGD loop over (X, y) chunks; see the module docstring."""
-    if fs.num_features != cfg.num_features:
-        raise ConfigError(
-            f"feature set has M={fs.num_features} but config says "
-            f"{cfg.num_features}"
-        )
-    n = cfg.stream_length
+    _check_feature_count(fs, cfg)
     m = cfg.num_features
     mu = cfg.mu
     two_mu = 2.0 * mu
@@ -329,11 +289,12 @@ def _train(fs: FeatureSet, chunks, cfg: TrainConfig,
     from scipy.linalg.blas import daxpy, ddot, dscal
 
     t = 0
-    for X, ys in chunks:
-        Phi = feature_matrix(fs, X)
-        for phi, y, eta in zip(Phi, ys.tolist(), etas[t:t + len(ys)].tolist()):
+    for lo in range(0, n, _CHUNK):
+        Phi = feature_matrix(fs, X[lo:lo + _CHUNK])
+        for phi, y_t, eta in zip(Phi, y[lo:lo + _CHUNK].tolist(),
+                                 etas[lo:lo + _CHUNK].tolist()):
             pred = ddot(phi, alpha)
-            resid = pred - y
+            resid = pred - y_t
             resids[t] = resid
             nsqs[t] = nsq
             a = 1.0 - eta * two_mu
@@ -354,7 +315,6 @@ def _train(fs: FeatureSet, chunks, cfg: TrainConfig,
                 suffix = daxpy(alpha, suffix)
             t += 1
         nsq = _exact_nsq(alpha, t - 1)
-        PREFACTOR_EVALS.bump(len(ys))
 
     proj = np.zeros(n, dtype=bool)
     proj[projected] = True
@@ -389,8 +349,7 @@ def ridge_oracle(fs: FeatureSet, X, y, cfg: TrainConfig) -> RidgeSolution:
     This is the batch optimum SGD chases when the stream resamples the same
     dataset; it anchors the convergence tests.
     """
-    if fs.num_features != cfg.num_features:
-        raise ConfigError("feature set and config disagree on M")
+    _check_feature_count(fs, cfg)
     y = np.asarray(y, dtype=float)
     Phi = feature_matrix(fs, X)
     n = Phi.shape[0]
@@ -398,16 +357,6 @@ def ridge_oracle(fs: FeatureSet, X, y, cfg: TrainConfig) -> RidgeSolution:
     b = Phi.T @ y / n
     alpha = np.linalg.solve(A, b)
     return RidgeSolution(alpha=alpha, alpha_ball=project_ball(alpha, cfg.radius))
-
-
-@dataclass(frozen=True)
-class TheoremParams:
-    """Hyperparameters from the convergence guarantee's schedule."""
-
-    lam: float
-    num_features: int
-    stream_length: int
-    dof: float
 
 
 def theorem_lambda(delta: float, f_norm: float, q_min: float, p: float,
@@ -427,58 +376,6 @@ def theorem_lambda(delta: float, f_norm: float, q_min: float, p: float,
     return c_lambda * (delta**2 / f_norm**2) * ratio ** (-2.0 * p / (1.0 + p))
 
 
-def theorem_hyperparams(
-    delta: float,
-    f_norm: float,
-    q_min: float,
-    epsilon: float,
-    p: float,
-    dof_fn,
-    c_lambda: float = 1.0,
-    c_features: float = 1.0,
-    c_stream: float = 1.0,
-) -> TheoremParams:
-    """Evaluate the guarantee's hyperparameter schedule at given constants.
-
-    With r = delta / (f_norm sqrt(q_min)):
-
-        lam = c_lambda (delta^2 / f_norm^2) r^(-2p / (1+p))
-        M   = ceil(c_features d(lam) log(d(lam) / epsilon)),  at least 1
-        N   = c_stream log(1/epsilon) (f_norm^4 / (delta^4 q_min^2))
-              (f_norm / (lam delta sqrt(q_min)))^(4p / (1-p)),
-              rounded up to an even integer
-
-    ``dof_fn`` maps lam to the degree of freedom of the data at that level;
-    ``p`` in (0, 1) encodes the spectral decay regime (p -> 0 recovers the
-    fast-decay limit lam = c_lambda delta^2 / f_norm^2).
-    """
-    if not (delta > 0):
-        raise ConfigError(f"delta must be positive, got {delta}")
-    if not (f_norm > 0):
-        raise ConfigError(f"f_norm must be positive, got {f_norm}")
-    if not (0 < q_min <= 1):
-        raise ConfigError(f"q_min must lie in (0, 1], got {q_min}")
-    if not (0 < epsilon < 1):
-        raise ConfigError(f"epsilon must lie in (0, 1), got {epsilon}")
-    if not (0 < p < 1):
-        raise ConfigError(f"p must lie in (0, 1), got {p}")
-    lam = theorem_lambda(delta, f_norm, q_min, p, c_lambda)
-    dof = float(dof_fn(lam))
-    if not (dof > 0):
-        raise ConfigError(f"degree of freedom must be positive, got {dof}")
-    m = max(1, math.ceil(c_features * dof * math.log(dof / epsilon)))
-    n_raw = (
-        c_stream
-        * math.log(1.0 / epsilon)
-        * (f_norm**4 / (delta**4 * q_min**2))
-        * (f_norm / (lam * delta * math.sqrt(q_min))) ** (4.0 * p / (1.0 - p))
-    )
-    n = max(2, math.ceil(n_raw))
-    if n % 2:
-        n += 1
-    return TheoremParams(lam=lam, num_features=m, stream_length=n, dof=dof)
-
-
 # --- classifier file format ------------------------------------------------
 #
 # the feature set block followed by a single line holding the 2M
@@ -495,10 +392,6 @@ def parse_classifier(text: str) -> Classifier:
     fs = parse_feature_set("\n".join(text.splitlines()[:rows[-1][0] - 1]))
     alpha = parse_row(rows[-1], count=2 * fs.num_features)
     return Classifier(feature_set=fs, alpha=np.array(alpha))
-
-
-def save_classifier(clf: Classifier, path, force: bool = True) -> None:
-    atomic_write(path, format_classifier(clf), force=force)
 
 
 def load_classifier(path) -> Classifier:

@@ -14,7 +14,9 @@ pass, sorts the rows of cell indices to find the distinct cells, and costs
 ``CountTree.increment`` is the streaming path, one point at a time.
 
 Usage contract: build first (batch build, increments), then freeze and
-sample.  The tree is not thread safe.
+sample.  The tree is not thread safe.  It lives in memory only: no command
+reads or writes a tree file, and ``optrf sample-features --store-delta``
+builds its tree from the unlabeled batch each run.
 """
 
 from __future__ import annotations
@@ -24,8 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, OutOfBoxError
-from .fileio import (atomic_write, fmt, lines, load, number_list,
-                     parse_header, parse_row)
 
 
 @dataclass(frozen=True)
@@ -192,57 +192,6 @@ class CountTree:
 
     def node_count(self) -> int:
         return sum(len(level) for level in self._levels)
-
-    # --- external file format ----------------------------------------
-    #
-    #   # D=<int> delta=<float> lower=<csv> upper=<csv> total=<int>
-    #   <cell bit string> <count>
-    #   ...                        (one line per occupied leaf, sorted)
-
-    def dump(self) -> str:
-        low = ",".join(fmt(v) for v in self.spec.lower)
-        up = ",".join(fmt(v) for v in self.spec.upper)
-        out = [
-            f"# D={self.spec.dim} delta={fmt(self.spec.delta)} "
-            f"lower={low} upper={up} total={self.total()}"
-        ]
-        out += [f"{bits} {count}" for bits, count in self.leaf_distribution()]
-        return "\n".join(out) + "\n"
-
-    def save(self, path, force: bool = True) -> None:
-        atomic_write(path, self.dump(), force=force)
-
-    @classmethod
-    def parse(cls, text: str) -> "CountTree":
-        rows = lines(text)
-        head = parse_header(rows[0], "", {
-            "D": int, "delta": float, "lower": number_list,
-            "upper": number_list, "total": int,
-        })
-        if not len(head["lower"]) == len(head["upper"]) == head["D"]:
-            raise ConfigError("lower/upper length does not match D")
-        spec = GridSpec.build(head["lower"], head["upper"], head["delta"])
-        tree = cls(spec)
-        depth = spec.depth
-
-        def leaf(bits: str) -> int:
-            if len(bits) != depth or set(bits) - {"0", "1"}:
-                raise ConfigError(f"cell address {bits!r} is not {depth} bits")
-            return int(bits, 2)
-
-        for row in rows[1:]:
-            leaf_no, count = parse_row(row, 2, [leaf, int])
-            if count < 1:
-                raise ConfigError(f"line {row[0]}: leaf counts must be positive")
-            tree._add(leaf_no, count)
-        if tree.total() != head["total"]:
-            raise ConfigError(f"header total {head['total']} does not match "
-                              f"leaf sum {tree.total()}")
-        return tree
-
-    @classmethod
-    def load(cls, path) -> "CountTree":
-        return load(path, cls.parse)
 
 
 def build_tree(points, lower, upper, delta: float) -> CountTree:

@@ -21,8 +21,8 @@ import numpy as np
 
 from .errors import CertificationError, ConfigError
 from .features import GaussianKernel, gram
-from .fileio import (atomic_write, fmt, lines, load, number, number_list,
-                     parse_header, parse_row)
+from .fileio import (fmt, lines, load, number, number_list, parse_header,
+                     parse_row)
 from .leverage import (
     build_spectral_model,
     sample_conventional,
@@ -200,11 +200,6 @@ def sample_label(task: SyntheticTask, X, rng: np.random.Generator) -> np.ndarray
     return np.where(rng.random(f.shape) < (1.0 + f) / 2.0, 1.0, -1.0)
 
 
-def bayes_classifier(task: SyntheticTask, X) -> np.ndarray:
-    """Sign of the regression function, with sign(0) = +1."""
-    return np.where(f_star(task, X) >= 0.0, 1.0, -1.0)
-
-
 def certify_task(task: SyntheticTask, rng: np.random.Generator | None = None,
                  n_probe: int = _CERTIFY_PROBES) -> tuple[float, float]:
     """Hard-assert delta <= |f*| <= 1 on probe points drawn from the inputs.
@@ -324,13 +319,6 @@ def classification_error(values, y) -> float:
     """Fraction of sign disagreements, with sign(0) counted as +1."""
     pred = np.where(np.asarray(values, dtype=float) >= 0.0, 1.0, -1.0)
     return float((pred != np.asarray(y, dtype=float)).mean())
-
-
-def excess_error(fhat_values, fstar_values, y) -> float:
-    """Paired excess classification error on a shared labeled test set."""
-    return classification_error(fhat_values, y) - classification_error(
-        fstar_values, y
-    )
 
 
 def function_distances(fhat_values, fstar_values) -> tuple[float, float]:
@@ -680,10 +668,6 @@ def parse_task(text: str, certify: bool = True) -> SyntheticTask:
     if certify:
         certify_task(task)
     return task
-
-
-def save_task(task: SyntheticTask, path, force: bool = True) -> None:
-    atomic_write(path, format_task(task), force=force)
 
 
 def load_task(path, certify: bool = True) -> SyntheticTask:

@@ -452,11 +452,11 @@ def _sample_with_task(fn):
     return case
 
 
-def _train_with_features(fn):
+def _train_with_features(fn, n=20):
     def case(ws, d):
         (d / "feats.txt").write_text(fn(_FEATURES))
         return ["train", "--task", ws / "task.txt", "--features",
-                d / "feats.txt", "--lam", 0.02, "--n", 20]
+                d / "feats.txt", "--lam", 0.02, "--n", n]
     return case
 
 
@@ -489,6 +489,15 @@ _DEFECTS = {
     "config-m-not-an-int": _config_m_x,
     "m-grid-not-an-int": lambda ws, d: [
         "sweep-m", "--task", ws / "task.txt", "--m-grid", "2,x"],
+    "m-grid-zero": lambda ws, d: [
+        "sweep-m", "--task", ws / "task.txt", "--m-grid", "2,0"],
+    "m-grid-empty": lambda ws, d: [
+        "sweep-m", "--task", ws / "task.txt", "--m-grid", ","],
+    "n-grid-odd": lambda ws, d: [
+        "sweep-n", "--task", ws / "task.txt", "--n-grid", "64,65"],
+    "n-odd": _train_with_features(lambda t: t, n=65),
+    "lam-grid-zero": lambda ws, d: [
+        "spectrum", "--task", ws / "task.txt", "--lam-grid", "0.1,0"],
     "task-name-with-space": lambda ws, d: ["gen-task", "--name", "a b"],
     "task-name-with-comma": lambda ws, d: ["gen-task", "--name", "a,b"],
 }
@@ -504,25 +513,53 @@ def test_malformed_input_exits_2_without_output(defect, ws, tmp_path, capsys):
     assert not out.exists()
 
 
+# out-of-range flag values: the flag is checked when parsed, so the one
+# error line names it and no grid cell runs first
+_FLAG_DEFECTS = {"m-grid-zero": "--m-grid", "m-grid-empty": "--m-grid",
+                 "n-grid-odd": "--n-grid", "n-odd": "--n",
+                 "lam-grid-zero": "--lam-grid"}
+
+
+@pytest.mark.parametrize("defect", sorted(_FLAG_DEFECTS))
+def test_out_of_range_flag_is_named(defect, ws, tmp_path, capsys):
+    argv = _DEFECTS[defect](ws, tmp_path)
+    assert run(*argv, "--out", tmp_path / "out.txt") == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {_FLAG_DEFECTS[defect]}: expected ")
+
+
 # --- the benchmark's CLI span shim --------------------------------------------
 
 
 def test_perfbench_shim_traces_the_leverage_layers(tmp_path):
     # perfbench/worker.py wraps optrf.cli, optrf.leverage and optrf.store
-    # names by attribute; a renamed or bypassed one would drop its span
-    assert run("gen-task", "--kind", "subgaussian",
-               "--out", tmp_path / "task.txt") == EXIT_OK
+    # names by attribute; a renamed or bypassed one would drop its span.
+    # The four commands of its cli-chain workload, at tiny sizes.
     src = Path(optrf.__file__).resolve().parents[1]
     worker = src.parent / "perfbench" / "worker.py"
-    argv = ["sample-features", "--task", "task.txt", "--store-delta", "0.05",
-            "--sampler", "grid", "--grid-cells", "16", "--m", "8",
-            "--n-unlabeled", "50", "--out", "features.txt"]
-    proc = subprocess.run(
-        [sys.executable, str(worker), "cli", "spans.json", *argv],
-        cwd=tmp_path, capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": str(src)})
-    assert proc.returncode == 0, proc.stderr
-    spans = json.loads((tmp_path / "spans.json").read_text())["s"]
-    for name in ("leverage.spectral_model", "leverage.score", "features.gram",
-                 "store.expanded_points"):
-        assert name in spans
+    task = ("--task", "task.txt")
+    chain = [
+        (["gen-task", "--kind", "subgaussian", "--out", "task.txt"],
+         ("tasks.make_task", "tasks.certify")),
+        (["sample-features", *task, "--store-delta", "0.05", "--sampler",
+          "grid", "--grid-cells", "16", "--m", "8", "--n-unlabeled", "50",
+          "--out", "features.txt"],
+         ("leverage.spectral_model", "leverage.score", "features.gram",
+          "store.expanded_points")),
+        (["train", *task, "--features", "features.txt", "--n", "64",
+          "--trace", "trace.csv", "--out", "clf.txt"],
+         ("tasks.stream", "sgd.train", "sgd.codec")),
+        (["eval", *task, "--classifier", "clf.txt", "--n-test", "100",
+          "--n-train", "64", "--out", "metrics.csv"],
+         ("tasks.eval", "tasks.gen_inputs")),
+    ]
+    for step, (argv, names) in enumerate(chain):
+        spans_file = f"spans-{step}.json"
+        proc = subprocess.run(
+            [sys.executable, str(worker), "cli", spans_file, *argv],
+            cwd=tmp_path, capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(src)})
+        assert proc.returncode == 0, proc.stderr
+        spans = json.loads((tmp_path / spans_file).read_text())["s"]
+        for name in names:
+            assert name in spans, (argv[0], name)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from optrf.errors import ConfigError
+from optrf.fileio import atomic_write
 from optrf.features import (
     FeatureSet,
     GaussianKernel,
@@ -11,12 +12,10 @@ from optrf.features import (
     feature_pair,
     format_feature_set,
     gram,
-    kernel_importance_estimate,
     kernel_mc_estimate,
     load_feature_set,
     parse_feature_set,
     sample_tau,
-    save_feature_set,
 )
 
 
@@ -126,26 +125,6 @@ def test_feature_pair_unit_circle():
 # --- estimators ----------------------------------------------------------------
 
 
-def test_importance_estimate_with_unit_weights_equals_mc():
-    rng = np.random.default_rng(6)
-    fs = FeatureSet(
-        freqs=rng.normal(size=(64, 2)),
-        mode="optimized",
-        leverage_values=np.ones(64),
-        lam=0.1,
-    )
-    x, y = rng.normal(size=2), rng.normal(size=2)
-    assert kernel_importance_estimate(fs, x, y) == pytest.approx(
-        kernel_mc_estimate(fs, x, y), abs=1e-12
-    )
-
-
-def test_importance_estimate_requires_weights():
-    fs = FeatureSet(freqs=np.zeros((4, 1)), mode="conventional")
-    with pytest.raises(ConfigError):
-        kernel_importance_estimate(fs, np.zeros(1), np.zeros(1))
-
-
 def test_feature_set_validation():
     with pytest.raises(ConfigError):
         FeatureSet(freqs=np.zeros((0, 2)), mode="conventional")
@@ -191,7 +170,7 @@ def test_feature_file_round_trip_is_byte_identical(tmp_path, optimized):
         assert np.array_equal(fs2.leverage_values, fs.leverage_values)
 
     path = tmp_path / "features.txt"
-    save_feature_set(fs, path)
+    atomic_write(path, format_feature_set(fs))
     assert path.read_text() == text
     fs3 = load_feature_set(path)
     assert format_feature_set(fs3) == text
@@ -200,10 +179,10 @@ def test_feature_file_round_trip_is_byte_identical(tmp_path, optimized):
 def test_feature_file_overwrite_control(tmp_path):
     fs = _random_feature_set(np.random.default_rng(8), False)
     path = tmp_path / "f.txt"
-    save_feature_set(fs, path, force=False)
+    atomic_write(path, format_feature_set(fs), force=False)
     with pytest.raises(FileExistsError):
-        save_feature_set(fs, path, force=False)
-    save_feature_set(fs, path, force=True)
+        atomic_write(path, format_feature_set(fs), force=False)
+    atomic_write(path, format_feature_set(fs), force=True)
 
 
 def test_feature_file_parse_errors():

@@ -17,7 +17,6 @@ from optrf.errors import ConfigError
 from optrf.features import (FeatureSet, GaussianKernel, format_feature_set,
                             parse_feature_set)
 from optrf.sgd import Classifier, format_classifier, parse_classifier
-from optrf.store import CountTree, build_tree
 from optrf.tasks import (MetricsRecord, SphereDist, SubgaussianDist,
                          SyntheticTask, format_task, parse_records_csv,
                          parse_task, records_to_csv)
@@ -79,17 +78,6 @@ def classifiers(draw):
                       alpha=draw(arrays((2 * fs.num_features,))))
 
 
-@st.composite
-def trees(draw):
-    dim = draw(st.integers(1, 3))
-    lower = draw(arrays((dim,), st.floats(-100, 100)))
-    delta = draw(st.floats(0.01, 1.0))
-    upper = lower + delta * draw(st.integers(1, 40))
-    n = draw(st.integers(0, 20))
-    u = draw(arrays((n, dim), st.floats(0.0, 1.0)))
-    return build_tree(lower + u * (upper - lower), lower, upper, delta)
-
-
 records = st.builds(
     MetricsRecord, task=names,
     mode=st.sampled_from(["optimized", "conventional"]),
@@ -108,7 +96,6 @@ FORMATS = {
                     FeatureSet),
     "classifier": (classifiers(), format_classifier, parse_classifier,
                    Classifier),
-    "count tree": (trees(), CountTree.dump, CountTree.parse, CountTree),
     "metrics csv": (st.lists(records, max_size=3), records_to_csv,
                     parse_records_csv, list),
 }

@@ -9,6 +9,7 @@ from optrf.errors import ConfigError, SamplerAbort
 from optrf.features import GaussianKernel, gram, sample_tau
 from optrf.leverage import (
     _BATCH,
+    _cell_masses,
     _folded_eigh,
     _normal_cdf,
     _trace_dof,
@@ -312,18 +313,29 @@ def test_grid_tabulation_matches_the_scipy_cdf(case, cells, oracle_cases,
                                    cells)[0].freqs for seed in range(2)]
     monkeypatch.setattr(leverage, "_normal_cdf", lambda t: float(ndtr(t)))
     ref = tabulate_optimized_density(model, cells)
-    # past zero both CDFs return 1 - tail, and their tails differ by ulps,
-    # so an edge may round to the neighbouring double: 2^-53 per edge, up to
-    # 2^-52 q(v) in a cell's probability (q averages one under tau)
-    grid = np.meshgrid(*tab.centers, indexing="ij")
-    q = leverage_score(model, np.stack([g.ravel() for g in grid], axis=1))
-    assert np.all(np.abs(tab.probs - ref.probs)
-                  <= 1e-13 * ref.probs + 2.0**-51 * q)
+    # each cell's mass is a difference of two lower tails below zero and of
+    # two upper tails past it, where the CDFs differ by ulps; the masses
+    # then agree within 5e-14 relative at 512 cells
+    assert np.all(np.abs(tab.probs - ref.probs) <= 1e-13 * ref.probs)
     assert tab.covered == pytest.approx(ref.covered, rel=1e-15)
     for seed, freqs in enumerate(draws):
         want = sample_optimized_grid(model, 500, np.random.default_rng(seed),
                                      cells)[0].freqs
         assert np.array_equal(freqs, want)
+
+
+@pytest.mark.parametrize("cells", [128, 512])
+def test_grid_tau_masses_mirror_across_zero(cells):
+    # the tabulation's edges in units of sigma, with the negative half made
+    # the exact mirror of the positive half: np.linspace's edges mirror only
+    # to an ulp, which alone moves a mass near 5 sigma by up to 1.1e-13
+    # relative at 512 cells.  tau is symmetric, so mirror cells carry the
+    # same mass; differencing the CDF near one left gaps of 1e-7.
+    pos = np.linspace(-6.0, 6.0, cells + 1)[cells // 2:]
+    assert pos[0] == 0.0
+    masses = _cell_masses(np.concatenate([-pos[:0:-1], pos]))
+    assert masses.shape == (cells,)
+    assert np.all(np.abs(masses - masses[::-1]) <= 1e-13 * masses[::-1])
 
 
 def _cholesky_trace_dof(A, lam):

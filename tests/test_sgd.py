@@ -6,13 +6,12 @@ from scipy.linalg import cho_factor, cho_solve
 
 from optrf.errors import ConfigError, StreamExhausted
 from optrf.features import FeatureSet, feature_pair
+from optrf.fileio import atomic_write
 from optrf.leverage import build_spectral_model, sample_optimized_rejection
 from optrf.sgd import (
-    PREFACTOR_EVALS,
     Classifier,
     TrainConfig,
     TrainTrace,
-    _grad_terms,
     feature_matrix,
     format_classifier,
     grad_estimate,
@@ -22,8 +21,6 @@ from optrf.sgd import (
     project_ball,
     regularized_empirical_loss,
     ridge_oracle,
-    save_classifier,
-    theorem_hyperparams,
     theorem_lambda,
     train,
     train_arrays,
@@ -146,25 +143,6 @@ def test_grad_accepts_precomputed_row():
     g1 = grad_estimate(fs, alpha, x, 1.0, 0.1, 1.0)
     g2 = grad_estimate(fs, alpha, x, 1.0, 0.1, 1.0, phi=phi)
     assert np.array_equal(g1, g2)
-
-
-def test_prefactor_evaluated_once_per_call():
-    fs = make_features(2, 1, seed=6)
-    PREFACTOR_EVALS.reset()
-    grad_estimate(fs, np.zeros(4), [0.1], 1.0, 0.1, 1.0)
-    assert PREFACTOR_EVALS.count == 1
-
-
-def test_prefactor_evaluated_once_per_iteration():
-    fs = make_features(2, 1, seed=7)
-    cfg = TrainConfig(lam=0.1, num_features=2, stream_length=20, q_min=1.0,
-                      f_norm=1.0)
-    rng = np.random.default_rng(8)
-    X = rng.normal(size=(10, 1))
-    y = np.sin(X[:, 0])
-    PREFACTOR_EVALS.reset()
-    train(fs, resample(X, y, rng), cfg)
-    assert PREFACTOR_EVALS.count == 20
 
 
 # --- projection --------------------------------------------------------------
@@ -350,7 +328,8 @@ def _reference_train(fs: FeatureSet, stream, cfg: TrainConfig,
         Phi = feature_matrix(fs, X)
         for i in range(len(chunk)):
             phi = Phi[i]
-            g, pred = _grad_terms(phi, alpha, ys[i], reg2)
+            pred = float(phi @ alpha)
+            g = 2.0 * (pred - ys[i]) * phi + reg2 * alpha
             eta = inv_mu / (t + 1)
             resid = pred - ys[i]
             trace_loss[t] = resid * resid + cfg.mu * (alpha @ alpha)
@@ -521,23 +500,6 @@ def test_theorem_lambda_polynomial_correction():
         theorem_lambda(0.5, 1.0, 1.0, p=1.0)
 
 
-def test_theorem_hyperparams_schedule():
-    params = theorem_hyperparams(0.5, 2.0, 1.0, epsilon=0.1, p=0.5,
-                                 dof_fn=lambda lam: 3.0)
-    assert params.lam == pytest.approx(0.0625 * 0.25 ** (-2.0 / 3.0))
-    assert params.dof == 3.0
-    assert params.num_features == int(np.ceil(3.0 * np.log(30.0)))
-    assert params.stream_length % 2 == 0
-    assert params.stream_length >= 2
-    for bad in (dict(epsilon=0.0), dict(epsilon=1.0), dict(p=0.0),
-                dict(p=1.0), dict(q_min=0.0)):
-        kw = dict(delta=0.5, f_norm=2.0, q_min=1.0, epsilon=0.1, p=0.5,
-                  dof_fn=lambda lam: 3.0)
-        kw.update(bad)
-        with pytest.raises(ConfigError):
-            theorem_hyperparams(**kw)
-
-
 # --- classifier files --------------------------------------------------------
 
 
@@ -546,7 +508,7 @@ def test_classifier_round_trip_is_byte_exact(tmp_path):
     rng = np.random.default_rng(20)
     clf = Classifier(feature_set=fs, alpha=rng.normal(size=6))
     path = tmp_path / "clf.txt"
-    save_classifier(clf, path)
+    atomic_write(path, format_classifier(clf))
     back = load_classifier(path)
     assert format_classifier(back) == format_classifier(clf)
     assert np.array_equal(back.alpha, clf.alpha)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from optrf.errors import ConfigError, OutOfBoxError
+from optrf.fileio import number_list, parse_header
 from optrf.store import CountTree, GridSpec, build_tree
 
 
@@ -35,6 +36,31 @@ def test_grid_validation():
         GridSpec.build([1.0], [0.0], 0.1)
     with pytest.raises(ConfigError):
         GridSpec.build([0.0, 0.0], [1.0], 0.1)
+    # grids too fine for int64 cell indices, and a grid with no coordinates
+    with pytest.raises(ConfigError):
+        GridSpec.build([0.0], [1.0], 5e-324)
+    with pytest.raises(ConfigError):
+        GridSpec.build([-1e308], [1.0], 0.5)
+    with pytest.raises(ConfigError):
+        GridSpec.build([], [], 0.5)
+
+
+@pytest.mark.parametrize("old, new", [
+    ("delta=0.5", "delta=5e-324"),
+    ("lower=0.0", "lower=-1e308"),
+    ("D=1 delta=0.5 lower=0.0 upper=1.0", "D=0 delta=0.5 lower= upper="),
+])
+def test_tree_parse_rejects_degenerate_grids(old, new):
+    # grids too fine for int64 cell indices, and a grid with no coordinates,
+    # read from key=value header text the way the other optrf files carry it
+    good = "# D=1 delta=0.5 lower=0.0 upper=1.0"
+    assert old in good
+    head = parse_header((1, good.replace(old, new)), "", {
+        "D": int, "delta": float, "lower": number_list, "upper": number_list,
+    })
+    assert len(head["lower"]) == len(head["upper"]) == head["D"]
+    with pytest.raises(ConfigError):
+        GridSpec.build(head["lower"], head["upper"], head["delta"])
 
 
 def test_coord_indices_edges_and_out_of_box():
@@ -184,7 +210,7 @@ def _streamed(points, lower, upper, delta) -> CountTree:
 
 def _assert_same_tree(got: CountTree, want: CountTree) -> None:
     assert got._levels == want._levels
-    assert got.dump() == want.dump()
+    assert got.leaf_distribution() == want.leaf_distribution()
     assert np.array_equal(got.expanded_points(), want.expanded_points())
     if want.total() == 0:
         with pytest.raises(ConfigError):
@@ -270,49 +296,3 @@ def test_bad_point_anywhere_in_batch_raises(row, value):
 def test_batch_of_wrong_shape_raises(points):
     with pytest.raises(ConfigError, match="shape"):
         build_tree(points, [0.0, 0.0], [1.0, 1.0], 0.25)
-
-
-# --- file format --------------------------------------------------------------
-
-
-def test_tree_file_round_trip_is_byte_identical(tmp_path):
-    rng = np.random.default_rng(4)
-    tree = build_tree(rng.random((200, 2)), [0.0, 0.0], [1.0, 1.0], 0.125)
-    text = tree.dump()
-    tree2 = CountTree.parse(text)
-    assert tree2.dump() == text
-    assert tree2.total() == tree.total()
-    assert tree2.leaf_distribution() == tree.leaf_distribution()
-    assert _parent_sums_hold(tree2)
-
-    path = tmp_path / "tree.txt"
-    tree.save(path)
-    assert CountTree.load(path).dump() == text
-
-
-def test_tree_parse_errors():
-    good = build_tree(np.array([[0.1]]), [0.0], [1.0], 0.5).dump()
-    with pytest.raises(ConfigError):
-        CountTree.parse("no header\n")
-    # corrupt the recorded total
-    bad_total = good.replace("total=1", "total=9")
-    with pytest.raises(ConfigError):
-        CountTree.parse(bad_total)
-    # leaf address of the wrong width
-    lines = good.splitlines()
-    lines[1] = "0" + lines[1]
-    with pytest.raises(ConfigError):
-        CountTree.parse("\n".join(lines) + "\n")
-
-
-@pytest.mark.parametrize("old, new", [
-    ("delta=0.5", "delta=5e-324"),
-    ("lower=0.0", "lower=-1e308"),
-    ("D=1 delta=0.5 lower=0.0 upper=1.0", "D=0 delta=0.5 lower= upper="),
-])
-def test_tree_parse_rejects_degenerate_grids(old, new):
-    # grids too fine for int64 cell indices, and a grid with no coordinates
-    good = build_tree(np.array([[0.1]]), [0.0], [1.0], 0.5).dump()
-    assert old in good
-    with pytest.raises(ConfigError):
-        CountTree.parse(good.replace(old, new))

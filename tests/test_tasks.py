@@ -5,6 +5,7 @@ import pytest
 from scipy import stats
 
 from optrf.errors import CertificationError, ConfigError
+from optrf.fileio import atomic_write
 from optrf.features import GaussianKernel
 from optrf.leverage import build_spectral_model, sample_optimized_rejection
 from optrf.sgd import TrainConfig, predict, regularized_empirical_loss, train
@@ -15,12 +16,10 @@ from optrf.tasks import (
     SphereDist,
     SubgaussianDist,
     SyntheticTask,
-    bayes_classifier,
     bayes_error_estimate,
     certify_task,
     classification_error,
     derive_cell_seed,
-    excess_error,
     f_star,
     fit_rescale,
     format_task,
@@ -38,7 +37,6 @@ from optrf.tasks import (
     resolve_lambda,
     run_cell,
     sample_label,
-    save_task,
     spectrum_report,
     sweep_error_vs_M,
     sweep_error_vs_N,
@@ -284,7 +282,8 @@ def test_sign_zero_counts_as_positive():
     )
     # f* is odd, so it vanishes exactly at the origin
     assert f_star(task, [[0.0]])[0] == pytest.approx(0.0, abs=1e-15)
-    assert bayes_classifier(task, [[0.0]])[0] == 1.0
+    # the Bayes rule predicts +1 there, as classification_error counts it
+    assert classification_error(f_star(task, [[0.0]]), [1.0]) == 0.0
 
 
 def test_bayes_predictions_have_zero_excess(sphere_task):
@@ -292,7 +291,9 @@ def test_bayes_predictions_have_zero_excess(sphere_task):
     X = gen_inputs(sphere_task, 2_000, rng)
     y = sample_label(sphere_task, X, rng)
     fref = f_star(sphere_task, X)
-    assert excess_error(fref, fref, y) == 0.0
+    # the Bayes rule's +-1 labels, sign(0) = +1, err exactly as f* does
+    bayes = np.where(fref >= 0.0, 1.0, -1.0)
+    assert classification_error(bayes, y) - classification_error(fref, y) == 0.0
 
 
 def test_uniform_approximation_below_margin_gives_zero_excess(sphere_task):
@@ -302,7 +303,7 @@ def test_uniform_approximation_below_margin_gives_zero_excess(sphere_task):
     fref = f_star(sphere_task, X)
     # any estimate within delta of f* in sup norm shares its signs
     fhat = fref + 0.99 * sphere_task.delta * rng.uniform(-1, 1, size=fref.shape)
-    assert excess_error(fhat, fref, y) == 0.0
+    assert classification_error(fhat, y) - classification_error(fref, y) == 0.0
 
 
 def test_function_distances():
@@ -479,7 +480,7 @@ def test_spectrum_report_rows(sphere_task):
 
 def test_sphere_task_file_round_trip(tmp_path, sphere_task):
     path = tmp_path / "task.txt"
-    save_task(sphere_task, path)
+    atomic_write(path, format_task(sphere_task))
     back = load_task(path)
     assert format_task(back) == format_task(sphere_task)
     assert np.array_equal(back.anchors, sphere_task.anchors)
@@ -489,7 +490,7 @@ def test_sphere_task_file_round_trip(tmp_path, sphere_task):
 
 def test_cluster_task_file_round_trip(tmp_path, cluster_task):
     path = tmp_path / "task.txt"
-    save_task(cluster_task, path)
+    atomic_write(path, format_task(cluster_task))
     back = load_task(path)
     assert format_task(back) == format_task(cluster_task)
     assert np.array_equal(back.dist.centers, cluster_task.dist.centers)
@@ -499,7 +500,7 @@ def test_cluster_task_file_round_trip(tmp_path, cluster_task):
 def test_load_recertifies(tmp_path, sphere_task):
     corrupted = replace_coeffs(sphere_task, sphere_task.coeffs * 10.0)
     path = tmp_path / "task.txt"
-    save_task(corrupted, path)
+    atomic_write(path, format_task(corrupted))
     with pytest.raises(CertificationError):
         load_task(path)
     # opting out skips the margin check
