@@ -18,7 +18,6 @@ import sys
 import time
 from collections import namedtuple
 from dataclasses import asdict, fields
-from functools import partial
 
 import numpy as np
 
@@ -89,19 +88,30 @@ def _parse_bool(s: str) -> bool:
     raise ConfigError(f"expected a boolean, got {s!r}")
 
 
-def _parse_number(kind, lo, strict=False):
+def _parse_int(lo):
     def parse(s):
-        v = number(s, kind)
-        if v < lo or (strict and v == lo):
-            raise ConfigError(
-                f"expected {kind.__name__} {'>' if strict else '>='} {lo}, "
-                f"got {v}")
+        v = number(s, int)
+        if v < lo:
+            raise ConfigError(f"expected int >= {lo}, got {v}")
         return v
     return parse
 
 
-_parse_int = partial(_parse_number, int)
-_parse_positive = _parse_number(float, 0.0, strict=True)
+def _parse_interval(text):
+    """A float in the interval ``text``, written like '(0, 1]': a round
+    bracket leaves its end out, a square one takes it in."""
+    lo, hi = (float(t) for t in text[1:-1].split(","))
+
+    def parse(s):
+        v = number(s)
+        if not ((lo < v or (text[0] == "[" and v == lo))
+                and (v < hi or (text[-1] == "]" and v == hi))):
+            raise ConfigError(f"expected a float in {text}, got {v}")
+        return v
+    return parse
+
+
+_parse_positive = _parse_interval("(0, inf)")
 
 
 def _parse_stream_length(s):
@@ -140,7 +150,8 @@ OPTIONS = {
     "classifier": Opt(str, "classifier file path", _REQUIRED),
     "kind": Opt(_parse_choice("sphere", "subgaussian"),
                 "reference task family: sphere | subgaussian", "sphere"),
-    "delta": Opt(_parse_positive, "label margin delta (0 < delta < 1)", 0.5),
+    "delta": Opt(_parse_interval("(0, 1)"),
+                 "label margin delta (0 < delta < 1)", 0.5),
     "gamma": Opt(_parse_positive, "kernel width gamma (float > 0)", 1.0),
     "name": Opt(str, "task name recorded in result rows, without whitespace "
                      "or commas (default: family name)"),
@@ -162,27 +173,23 @@ OPTIONS = {
     "lam_grid": Opt(_parse_list(_parse_positive),
                     "comma list of lambda values (floats > 0)",
                     [10.0**e for e in (-4, -3.5, -3, -2.5, -2, -1.5, -1)]),
-    "q_min": Opt(_parse_positive, "density floor q_min in (0, 1]"),
-    "p": Opt(_parse_number(float, 0.0),
+    "q_min": Opt(_parse_interval("(0, 1]"), "density floor q_min in (0, 1]"),
+    "p": Opt(_parse_interval("[0, 1)"),
              "spectral decay exponent for the schedule (0 <= p < 1)"),
     "c_lambda": Opt(_parse_positive,
                     "constant in front of the schedule's lambda (float > 0)"),
     "eta_c": Opt(_parse_positive, "step size scale (float > 0)"),
-    "f_norm": Opt(_parse_positive,
-                  "target norm bound (float > 0; default: the task's)"),
     "n_unlabeled": Opt(_parse_int(1), "unlabeled points N0 behind the "
                                       "spectral model (int >= 1)"),
     "n_test": Opt(_parse_int(1), "held-out test points (int >= 1)"),
     "sampler": Opt(_parse_choice("rejection", "grid"),
                    "optimized sampler: rejection | grid (grid needs D <= 2)"),
-    "accept_floor": Opt(_parse_positive, "abort threshold on the rejection "
-                                        "acceptance rate (0 < f <= 1)"),
+    "accept_floor": Opt(_parse_interval("(0, 1]"), "abort threshold on the "
+                        "rejection acceptance rate (0 < f <= 1)"),
     "bottom_raised": Opt(_parse_bool,
                          "sample from (q+1)/2 instead of q (true/false)"),
     "grid_cells": Opt(_parse_int(2),
                       "grid sampler cells per coordinate (int >= 2)", 512),
-    "grid_halfwidth": Opt(_parse_positive, "grid half width in tau standard "
-                                          "deviations (float > 0)", 6.0),
     "store_delta": Opt(_parse_positive, "quantize unlabeled points through a "
                        "count tree of this pitch (float > 0; default off)"),
     "diagnostics": Opt(str, "CSV to append sampler diagnostics to "
@@ -191,7 +198,7 @@ OPTIONS = {
     "n_train": Opt(_parse_int(0), "stream length to record in the N column "
                                   "(int >= 0)", 0),
     "trial": Opt(_parse_int(0), "trial index recorded in the row", 0),
-    "accept_rate": Opt(_parse_number(float, 0.0), "acceptance rate "
+    "accept_rate": Opt(_parse_interval("[0, inf)"), "acceptance rate "
                        "recorded in the row (default nan)", float("nan")),
     "jobs": Opt(_parse_int(1), "parallel worker processes (int >= 1)", 1),
 }
@@ -326,8 +333,7 @@ def _cmd_sample_features(v):
         model = build_spectral_model(Xu, task.kern, lam)
         if v["sampler"] == "grid":
             fs, diag = sample_optimized_grid(
-                model, v["m"], rng_feat, cells_per_coord=v["grid_cells"],
-                half_width_sigmas=v["grid_halfwidth"])
+                model, v["m"], rng_feat, cells_per_coord=v["grid_cells"])
         else:
             fs, diag = sample_optimized_rejection(
                 model, v["m"], rng_feat, accept_floor=v["accept_floor"],
@@ -361,10 +367,9 @@ def _cmd_train(v):
     lam = v["lam"] if v["lam"] is not None else fs.lam
     if lam is None:
         raise ConfigError("lambda is required: the feature file carries none")
-    f_norm = v["f_norm"] if v["f_norm"] is not None else task.f_norm
     cfg = TrainConfig(lam=lam, num_features=fs.num_features,
                       stream_length=v["n"], q_min=v["q_min"],
-                      f_norm=f_norm, eta_c=v["eta_c"])
+                      f_norm=task.f_norm, eta_c=v["eta_c"])
     rng = np.random.default_rng(v["seed"])
     clf, trace = train(fs, labeled_stream(task, v["n"], rng), cfg)
     if trace.q_min_holds is False:
@@ -385,7 +390,9 @@ def _cmd_eval(v):
     _check_out(v["out"], header=RECORD_COLUMNS)
     task = load_task(v["task"])
     clf = load_classifier(v["classifier"])
-    lam = v["lam"] if v["lam"] is not None else (clf.feature_set.lam or 0.0)
+    lam = v["lam"] if v["lam"] is not None else clf.feature_set.lam
+    if lam is None:
+        raise ConfigError("lambda is required: the classifier carries none")
     rng = np.random.default_rng(v["seed"])
     start = time.perf_counter()
     X = gen_inputs(task, v["n_test"], rng)
@@ -454,22 +461,19 @@ def build_parser() -> argparse.ArgumentParser:
                     "train, evaluate, sweep.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sweep = ("task", "trials", "lam", "q_min", "eta_c", "n_unlabeled",
-             "n_test", "sampler", "accept_floor", "bottom_raised", "p",
-             "c_lambda", "jobs")
+    sweep = ("task", "trials", *(f.name for f in fields(CellConfig)),
+             "jobs")
     _add_command(sub, "gen-task", ("kind", "delta", "gamma", "name"),
                  _cmd_gen_task,
                  help_text="generate and certify a reference task file")
     _add_command(sub, "sample-features",
                  ("task", "mode", "m", "lam", "n_unlabeled", "sampler",
                   "accept_floor", "bottom_raised", "grid_cells",
-                  "grid_halfwidth", "store_delta", "q_min", "p", "c_lambda",
-                  "diagnostics"),
+                  "store_delta", "q_min", "p", "c_lambda", "diagnostics"),
                  _cmd_sample_features,
                  help_text="sample a feature set for a task")
     _add_command(sub, "train",
-                 ("task", "features", "n", "lam", "q_min", "eta_c", "f_norm",
-                  "trace"),
+                 ("task", "features", "n", "lam", "q_min", "eta_c", "trace"),
                  _cmd_train,
                  help_text="train a classifier on a fresh labeled stream")
     _add_command(sub, "eval",

@@ -35,9 +35,9 @@ def number(tok: str, kind=float, finite: bool = True):
     return v
 
 
-def number_list(text: str, kind=float, sep: str = ",") -> list:
-    """The ``sep``-separated numbers of ``text``; blank entries are skipped."""
-    return [number(t, kind) for t in text.split(sep) if t.strip()]
+def number_list(text: str, sep: str = ",") -> list:
+    """The ``sep``-separated floats of ``text``; blank entries are skipped."""
+    return [number(t) for t in text.split(sep) if t.strip()]
 
 
 @contextmanager

@@ -288,56 +288,54 @@ def _cell_masses(edges: np.ndarray) -> np.ndarray:
     return np.where(edges[:-1] >= 0, upper[:-1] - upper[1:], np.diff(lower))
 
 
+# the grid box spans +-6 standard deviations of tau in every coordinate,
+# which leaves out 2 Phi(-6) = 2.0e-9 of tau per coordinate
+_HALF_WIDTH_SIGMAS = 6.0
+
+
 @dataclass(frozen=True)
 class GridTabulation:
     """Exact tabulation of the optimized density on a rectangular grid.
 
     edges   : per-coordinate cell edge arrays (length cells+1 each).
-    centers : per-coordinate cell center arrays.
     probs   : flattened cell probabilities (C-order over coordinates),
               normalized to sum to one.
     covered : tau mass of the grid box before normalization.
     """
 
     edges: list[np.ndarray]
-    centers: list[np.ndarray]
     probs: np.ndarray
     covered: float
 
 
-def tabulate_optimized_density(
-    model: SpectralModel,
-    cells_per_coord: int = 512,
-    half_width_sigmas: float = 6.0,
-) -> GridTabulation:
-    """Tabulate q(v) tau(v) on a product grid covering >= 1 - 1e-6 tau mass.
+def tabulate_optimized_density(model: SpectralModel,
+                               cells_per_coord: int = 512) -> GridTabulation:
+    """Tabulate q(v) tau(v) on the product grid of +-6 tau standard
+    deviations, which covers at least 1 - 4e-9 of tau mass.
 
     Only implemented for dimension <= 2; the grid sampler and its
     distributional tests build on this shared tabulation.  Cell mass is the
     exact tau measure of the cell times the leverage density at the cell
-    center.
+    center.  The edges are antisymmetric to the bit, so mirror cells carry
+    the same tau mass.
     """
     dim = model.kern.dim
     if dim > 2:
         raise ConfigError("grid tabulation only supports dimension <= 2")
     sigma = model.kern.tau_sigma
-    half = half_width_sigmas * sigma
-    tail = 2.0 * _normal_cdf(-half_width_sigmas)
-    covered = (1.0 - tail) ** dim
-    if covered < 1.0 - 1e-6:
-        raise ConfigError(
-            f"grid covers only {covered!r} of tau mass; widen half_width_sigmas"
-        )
-    edges = [np.linspace(-half, half, cells_per_coord + 1) for _ in range(dim)]
-    centers = [0.5 * (e[:-1] + e[1:]) for e in edges]
-    masses = [_cell_masses(e / sigma) for e in edges]
-    grid = np.meshgrid(*centers, indexing="ij")
+    half = _HALF_WIDTH_SIGMAS * sigma
+    covered = (1.0 - 2.0 * _normal_cdf(-_HALF_WIDTH_SIGMAS)) ** dim
+    e = np.linspace(-half, half, cells_per_coord + 1)
+    # linspace mirrors its two halves only to an ulp
+    e = 0.5 * (e - e[::-1])
+    masses = _cell_masses(e / sigma)
+    centers = 0.5 * (e[:-1] + e[1:])
+    grid = np.meshgrid(*[centers] * dim, indexing="ij")
     V = np.stack([g.ravel() for g in grid], axis=1)
-    tau_mass = np.prod(np.meshgrid(*masses, indexing="ij"), axis=0).ravel()
-    probs = leverage_score(model, V) * tau_mass
+    tau_mass = np.prod(np.meshgrid(*[masses] * dim, indexing="ij"), axis=0)
+    probs = leverage_score(model, V) * tau_mass.ravel()
     probs = probs / probs.sum()
-    return GridTabulation(edges=edges, centers=centers, probs=probs,
-                          covered=covered)
+    return GridTabulation(edges=[e] * dim, probs=probs, covered=covered)
 
 
 def sample_optimized_grid(
@@ -345,7 +343,6 @@ def sample_optimized_grid(
     m: int,
     rng: np.random.Generator,
     cells_per_coord: int = 512,
-    half_width_sigmas: float = 6.0,
 ) -> tuple[FeatureSet, SamplerDiagnostics]:
     """Exact inverse-CDF sampling from the tabulated optimized density.
 
@@ -354,7 +351,7 @@ def sample_optimized_grid(
     """
     if m < 1:
         raise ConfigError(f"m must be >= 1, got {m}")
-    tab = tabulate_optimized_density(model, cells_per_coord, half_width_sigmas)
+    tab = tabulate_optimized_density(model, cells_per_coord)
     dim = model.kern.dim
     cum = np.cumsum(tab.probs)
     cum[-1] = 1.0

@@ -41,6 +41,7 @@ from .sgd import (
 
 _CERTIFY_PROBES = 10_000
 _CERTIFY_SEED = 271828  # fixed probe stream for load-time recertification
+_CHUNK = 1024           # rows per draw of a labeled stream
 _RESCALE_CAP = 0.999    # headroom so unprobed support points stay inside [-1, 1]
 
 
@@ -200,15 +201,19 @@ def sample_label(task: SyntheticTask, X, rng: np.random.Generator) -> np.ndarray
     return np.where(rng.random(f.shape) < (1.0 + f) / 2.0, 1.0, -1.0)
 
 
-def certify_task(task: SyntheticTask, rng: np.random.Generator | None = None,
-                 n_probe: int = _CERTIFY_PROBES) -> tuple[float, float]:
-    """Hard-assert delta <= |f*| <= 1 on probe points drawn from the inputs.
+def _probe_abs_f(task: SyntheticTask) -> np.ndarray:
+    """|f*| on the fixed probe: _CERTIFY_PROBES inputs from _CERTIFY_SEED."""
+    rng = np.random.default_rng(_CERTIFY_SEED)
+    return np.abs(f_star(task, gen_inputs(task, _CERTIFY_PROBES, rng)))
+
+
+def certify_task(task: SyntheticTask) -> tuple[float, float]:
+    """Hard-assert delta <= |f*| <= 1 on the fixed probe of the inputs.
 
     Returns (min |f*|, max |f*|) over the probe; raises CertificationError
     when the margin fails.
     """
-    rng = rng if rng is not None else np.random.default_rng(_CERTIFY_SEED)
-    g = np.abs(f_star(task, gen_inputs(task, n_probe, rng)))
+    g = _probe_abs_f(task)
     lo, hi = float(g.min()), float(g.max())
     if not (lo >= task.delta and hi <= 1.0):
         raise CertificationError(
@@ -218,15 +223,13 @@ def certify_task(task: SyntheticTask, rng: np.random.Generator | None = None,
     return lo, hi
 
 
-def fit_rescale(task: SyntheticTask, rng: np.random.Generator | None = None,
-                n_probe: int = _CERTIFY_PROBES) -> SyntheticTask:
+def fit_rescale(task: SyntheticTask) -> SyntheticTask:
     """Rescale the coefficients so the probed |f*| tops out just under one.
 
     Bisects for the largest admissible rescale factor and rejects (raises)
     when no factor can reach the margin delta.
     """
-    rng = rng if rng is not None else np.random.default_rng(_CERTIFY_SEED)
-    g = np.abs(f_star(task, gen_inputs(task, n_probe, rng)))
+    g = _probe_abs_f(task)
     g_max = float(g.max())
     if g_max == 0.0:
         raise CertificationError("|f*| vanishes on the probe; nothing to rescale")
@@ -438,32 +441,30 @@ def resolve_lambda(task: SyntheticTask, cfg: CellConfig) -> float:
                           cfg.c_lambda)
 
 
-def _labeled_chunks(task: SyntheticTask, n: int, rng: np.random.Generator,
-                    chunk: int):
-    """Exactly n fresh labeled examples as (X, y) arrays of up to chunk rows."""
+def _labeled_chunks(task: SyntheticTask, n: int, rng: np.random.Generator):
+    """n fresh labeled examples as (X, y) chunks of up to _CHUNK rows."""
     remaining = n
     while remaining > 0:
-        take = min(chunk, remaining)
+        take = min(_CHUNK, remaining)
         X = gen_inputs(task, take, rng)
         yield X, sample_label(task, X, rng)
         remaining -= take
 
 
-def labeled_stream(task: SyntheticTask, n: int, rng: np.random.Generator,
-                   chunk: int = 1024):
+def labeled_stream(task: SyntheticTask, n: int, rng: np.random.Generator):
     """Yield exactly n fresh (x, y) pairs drawn from the task."""
-    for X, y in _labeled_chunks(task, n, rng, chunk):
+    for X, y in _labeled_chunks(task, n, rng):
         yield from zip(X, y)
 
 
-def labeled_arrays(task: SyntheticTask, n: int, rng: np.random.Generator,
-                   chunk: int = 1024) -> tuple[np.ndarray, np.ndarray]:
+def labeled_arrays(task: SyntheticTask, n: int,
+                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """The n pairs ``labeled_stream`` would yield, as (X, y) arrays.
 
     Draws in the same chunks and RNG order, so the arrays equal the
     stream's pairs stacked, bit for bit.
     """
-    Xs, ys = zip(*_labeled_chunks(task, n, rng, chunk))
+    Xs, ys = zip(*_labeled_chunks(task, n, rng))
     return np.concatenate(Xs), np.concatenate(ys)
 
 
@@ -527,18 +528,13 @@ def derive_cell_seed(base_seed: int, *indices: int) -> int:
     return int(np.random.SeedSequence([base_seed, *indices]).generate_state(1)[0])
 
 
-def _cell_worker(args):
-    task, mode, m, n, trial, seed, cfg = args
-    return run_cell(task, mode, m, n, trial, seed, cfg)
-
-
 def _run_cells(cells, jobs: int):
     if jobs <= 1:
-        return [_cell_worker(c) for c in cells]
+        return [run_cell(*c) for c in cells]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_cell_worker, cells))
+        return list(pool.map(run_cell, *zip(*cells)))
 
 
 def sweep_error_vs_N(task: SyntheticTask, mode: str, n_grid, m: int,

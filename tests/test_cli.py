@@ -1,7 +1,9 @@
+import argparse
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +16,14 @@ from optrf.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_SAMPLER,
+    OPTIONS,
+    build_parser,
     main,
 )
 from optrf.features import load_feature_set
 from optrf.fileio import number
 from optrf.sgd import load_classifier
-from optrf.tasks import load_task, parse_records_csv
+from optrf.tasks import CellConfig, load_task, parse_records_csv
 
 
 @pytest.fixture(scope="module")
@@ -366,7 +370,7 @@ def test_sample_features_checks_the_diagnostics_header_first(ws, clf_file,
                                                              tmp_path):
     metrics = tmp_path / "metrics.csv"
     assert run("eval", "--task", ws / "task.txt", "--classifier", clf_file[1],
-               "--n-test", 50, "--out", metrics) == EXIT_OK
+               "--n-test", 50, "--lam", 0.02, "--out", metrics) == EXIT_OK
     before = metrics.read_bytes()
     out = tmp_path / "feats.txt"
     assert run("sample-features", "--task", ws / "task.txt", "--m", 4,
@@ -452,18 +456,22 @@ def _sample_with_task(fn):
     return case
 
 
-def _train_with_features(fn, n=20):
+def _train_with_features(fn, *flags, n=20):
     def case(ws, d):
         (d / "feats.txt").write_text(fn(_FEATURES))
         return ["train", "--task", ws / "task.txt", "--features",
-                d / "feats.txt", "--lam", 0.02, "--n", n]
+                d / "feats.txt", "--lam", 0.02, "--n", n, *flags]
     return case
 
 
-def _eval_3d_classifier(ws, d):
-    (d / "clf.txt").write_text(_FEATURES_3D + "0.1 0.2 0.3 0.4\n")
-    return ["eval", "--task", ws / "task.txt", "--classifier", d / "clf.txt",
-            "--n-test", 20]
+def _eval_classifier(features, *flags):
+    """eval of a classifier on the 2-feature, lambda-free block
+    ``features``."""
+    def case(ws, d):
+        (d / "clf.txt").write_text(features + "0.1 0.2 0.3 0.4\n")
+        return ["eval", "--task", ws / "task.txt", "--classifier",
+                d / "clf.txt", "--n-test", 20, *flags]
+    return case
 
 
 def _config_m_x(ws, d):
@@ -485,7 +493,17 @@ _DEFECTS = {
         _train_with_features(lambda t: _edit(t, 1, _first_token("nan"))),
     "train-features-of-another-dimension":
         _train_with_features(lambda t: _FEATURES_3D),
-    "eval-classifier-of-another-dimension": _eval_3d_classifier,
+    "eval-classifier-of-another-dimension":
+        _eval_classifier(_FEATURES_3D, "--lam", 0.02),
+    "eval-classifier-without-lambda": _eval_classifier(_FEATURES),
+    "eval-q-min-above-one":
+        _eval_classifier(_FEATURES, "--lam", 0.02, "--q-min", 5),
+    "train-q-min-above-one": _train_with_features(lambda t: t, "--q-min", 2),
+    "accept-floor-above-one": lambda ws, d: [
+        "sample-features", "--task", ws / "task.txt", "--accept-floor", 2],
+    "p-above-one": lambda ws, d: [
+        "sample-features", "--task", ws / "task.txt", "--p", 1.5],
+    "delta-above-one": lambda ws, d: ["gen-task", "--delta", 1.5],
     "config-m-not-an-int": _config_m_x,
     "m-grid-not-an-int": lambda ws, d: [
         "sweep-m", "--task", ws / "task.txt", "--m-grid", "2,x"],
@@ -517,7 +535,11 @@ def test_malformed_input_exits_2_without_output(defect, ws, tmp_path, capsys):
 # error line names it and no grid cell runs first
 _FLAG_DEFECTS = {"m-grid-zero": "--m-grid", "m-grid-empty": "--m-grid",
                  "n-grid-odd": "--n-grid", "n-odd": "--n",
-                 "lam-grid-zero": "--lam-grid"}
+                 "lam-grid-zero": "--lam-grid",
+                 "eval-q-min-above-one": "--q-min",
+                 "train-q-min-above-one": "--q-min",
+                 "accept-floor-above-one": "--accept-floor",
+                 "p-above-one": "--p", "delta-above-one": "--delta"}
 
 
 @pytest.mark.parametrize("defect", sorted(_FLAG_DEFECTS))
@@ -526,6 +548,27 @@ def test_out_of_range_flag_is_named(defect, ws, tmp_path, capsys):
     assert run(*argv, "--out", tmp_path / "out.txt") == EXIT_CONFIG
     err = capsys.readouterr().err
     assert err.startswith(f"error: {_FLAG_DEFECTS[defect]}: expected ")
+
+
+# --- the option table ---------------------------------------------------------
+
+
+def _command_options():
+    """Each command's option names, as build_parser registers them."""
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return {name: set(p.get_default("names"))
+            for name, p in sub.choices.items()}
+
+
+def test_every_option_is_a_flag_of_some_command():
+    assert set().union(*_command_options().values()) == set(OPTIONS)
+
+
+@pytest.mark.parametrize("command", ["sweep-n", "sweep-m"])
+def test_sweeps_expose_every_cell_config_field(command):
+    want = {f.name for f in fields(CellConfig)}
+    assert want <= _command_options()[command]
 
 
 # --- the benchmark's CLI span shim --------------------------------------------

@@ -338,6 +338,21 @@ def test_grid_tau_masses_mirror_across_zero(cells):
     assert np.all(np.abs(masses - masses[::-1]) <= 1e-13 * masses[::-1])
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("cells", [16, 17, 128, 512])
+def test_grid_probs_mirror_exactly_for_one_point(dim, cells):
+    # one point at the origin has constant leverage, so each cell's
+    # probability is its tau mass alone, and tau is symmetric: the grid's
+    # edges must be antisymmetric to the bit for mirror cells to agree
+    kern = GaussianKernel(gamma=1.0, dim=dim)
+    model = build_spectral_model(np.zeros((1, dim)), kern, 0.01)
+    tab = tabulate_optimized_density(model, cells)
+    probs = tab.probs.reshape((cells,) * dim)
+    for axis in range(dim):
+        assert np.array_equal(probs, np.flip(probs, axis=axis))
+        assert np.array_equal(tab.edges[axis], -tab.edges[axis][::-1])
+
+
 def _cholesky_trace_dof(A, lam):
     return float(np.trace(cho_solve(cho_factor(A + lam * np.eye(len(A)),
                                                lower=True), A)))
