@@ -364,6 +364,12 @@ def _cmd_train(v):
         _check_out(v["trace"], v["force"])
     task = load_task(v["task"])
     fs = load_feature_set(v["features"])
+    if v["lam"] is not None and fs.lam is not None and v["lam"] != fs.lam:
+        # the classifier file records the feature block's lambda, so a
+        # different training lambda would be misreported downstream
+        raise ConfigError(f"--lam: {v['lam']!r} contradicts the feature "
+                          f"file's lambda={fs.lam!r}, the level its "
+                          f"optimized features were sampled for")
     lam = v["lam"] if v["lam"] is not None else fs.lam
     if lam is None:
         raise ConfigError("lambda is required: the feature file carries none")

@@ -30,6 +30,12 @@ the ball, after every projection, and at every 1024-row chunk boundary, so
 its rounding drift stays within one chunk.  Feature rows are built one
 chunk at a time; no N x 2M matrix is ever held.
 
+Prediction uses the amplitude-phase form of the same sum,
+f(x) = sum_k r_k cos(-2 pi v_k.x - p_k) with r_k = hypot(alpha_2k,
+alpha_2k+1) and p_k = atan2(alpha_2k+1, alpha_2k): one cosine per feature
+and no (n, 2M) matrix.  The identity a cos t + b sin t = r cos(t - p) is
+exact, so the two forms agree up to rounding of order eps * sum_k r_k.
+
 The step's vector operations are scipy's level-1 BLAS (ddot, dscal, daxpy),
 imported inside the loop's function, so only training loads scipy; the ridge
 oracle is one ``numpy.linalg.solve``.
@@ -100,15 +106,20 @@ class TrainConfig:
         )
 
 
-def feature_matrix(fs: FeatureSet, X) -> np.ndarray:
-    """Interleaved (n, 2M) feature matrix [cos_0, sin_0, cos_1, sin_1, ...]."""
+def _angles(fs: FeatureSet, X) -> np.ndarray:
+    """The (n, M) phases -2 pi x_i . v_k; raises on a dimension mismatch."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     if X.shape[1] != fs.dim:
         raise ConfigError(
             f"inputs have dimension {X.shape[1]}, features expect {fs.dim}"
         )
-    ang = -2.0 * np.pi * (X @ fs.freqs.T)
-    out = np.empty((X.shape[0], 2 * fs.num_features))
+    return -2.0 * np.pi * (X @ fs.freqs.T)
+
+
+def feature_matrix(fs: FeatureSet, X) -> np.ndarray:
+    """Interleaved (n, 2M) feature matrix [cos_0, sin_0, cos_1, sin_1, ...]."""
+    ang = _angles(fs, X)
+    out = np.empty((ang.shape[0], 2 * fs.num_features))
     out[:, 0::2] = np.cos(ang)
     out[:, 1::2] = np.sin(ang)
     return out
@@ -132,8 +143,22 @@ class Classifier:
 
 
 def predict(clf: Classifier, X) -> np.ndarray:
-    """Real-valued predictions f(x) = phi(x) . alpha for each row of X."""
-    return feature_matrix(clf.feature_set, X) @ clf.alpha
+    """Real-valued predictions f(x) = phi(x) . alpha for each row of X.
+
+    Evaluated in amplitude-phase form, one cosine per feature and no
+    (n, 2M) matrix: with r_k = hypot(a_k, b_k) and p_k = atan2(b_k, a_k)
+    for the pair (a_k, b_k) = (alpha_2k, alpha_2k+1),
+
+        a_k cos t + b_k sin t = r_k cos(t - p_k),
+
+    because r_k cos p_k = a_k and r_k sin p_k = b_k.  The identity is
+    exact, so the two forms differ only by rounding, of order
+    eps * sum_k r_k.
+    """
+    alpha = clf.alpha
+    ang = _angles(clf.feature_set, X)
+    ang -= np.arctan2(alpha[1::2], alpha[0::2])
+    return np.cos(ang, out=ang) @ np.hypot(alpha[0::2], alpha[1::2])
 
 
 def regularized_empirical_loss(clf: Classifier, X, y, lam: float,
@@ -141,7 +166,7 @@ def regularized_empirical_loss(clf: Classifier, X, y, lam: float,
     """(1/n) sum (y - f(x))^2 + lam M q_min ||alpha||^2.
 
     ``fhat`` may carry the predictions predict(clf, X), saving a second
-    feature matrix; the result is the same to the bit.
+    pass over X; the result is the same to the bit.
     """
     y = np.asarray(y, dtype=float)
     resid = y - (predict(clf, X) if fhat is None else fhat)

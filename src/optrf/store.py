@@ -9,7 +9,7 @@ so adding a cell's count touches exactly ``depth + 1`` nodes and drawing a
 cell proportional to its count walks one root-to-leaf path.
 
 ``build_tree`` fills a tree from a whole batch: it quantizes the batch in one
-pass, sorts the rows of cell indices to find the distinct cells, and costs
+pass, finds the distinct cells by a lexsort of the index rows, and costs
 ``depth + 1`` node updates per distinct cell rather than per point.
 ``CountTree.increment`` is the streaming path, one point at a time.
 
@@ -169,11 +169,13 @@ class CountTree:
         self._frozen = True
         if self.total() == 0:
             raise ConfigError("cannot sample from an empty tree")
+        # one draw per level, taken at once: the same stream, in the same
+        # order, as one rng.random() call per level
         prefix = 0
-        for level in range(self.spec.depth):
+        for level, u in enumerate(rng.random(self.spec.depth).tolist()):
             left = self._levels[level + 1].get(2 * prefix, 0)
             here = self._levels[level][prefix]
-            prefix = 2 * prefix if rng.random() * here < left else 2 * prefix + 1
+            prefix = 2 * prefix if u * here < left else 2 * prefix + 1
         return self.spec.leaf_bits(prefix), self.spec.cell_center(prefix)
 
     def leaf_distribution(self) -> list[tuple[str, int]]:
@@ -197,15 +199,21 @@ class CountTree:
 def build_tree(points, lower, upper, delta: float) -> CountTree:
     """Quantize a batch of points into a fresh tree over the given box.
 
-    The batch is quantized at once and its rows of cell indices sorted to
-    find the distinct cells, so the build costs one row sort plus
-    ``depth + 1`` node updates per distinct cell.  Use
+    The batch is quantized at once and the distinct cells found by a
+    lexsort of the index rows (first coordinate most significant, so in
+    address order), so the build costs one lexsort plus ``depth + 1`` node
+    updates per distinct cell.  Each column of indices fits int64 at any
+    depth, so grids deeper than 63 bits take the same path.  Use
     ``CountTree.increment`` to stream further points into the tree.
     """
     spec = GridSpec.build(lower, upper, delta)
     idx = spec.coord_indices(np.atleast_2d(points))
-    cells, counts = np.unique(idx, axis=0, return_counts=True)
+    rows = idx[np.lexsort(idx.T[::-1])]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    counts = np.diff(np.append(starts, len(rows)))
     tree = CountTree(spec)
-    for row, count in zip(cells.tolist(), counts.tolist()):
+    for row, count in zip(rows[starts].tolist(), counts.tolist()):
         tree._add(spec._leaf_address(row), count)
     return tree

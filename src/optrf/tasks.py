@@ -335,8 +335,8 @@ def evaluate(task: SyntheticTask, clf: Classifier, X, y, lam: float,
              q_min: float) -> dict[str, float]:
     """Quality fields of a MetricsRecord for a classifier on a test set.
 
-    Builds the test feature matrix once: the regularized loss reuses the
-    predictions, to the same bits as regularized_empirical_loss.
+    Predicts once: the regularized loss reuses the predictions, to the
+    same bits as regularized_empirical_loss.
     """
     fhat = predict(clf, X)
     fref = f_star(task, X)

@@ -436,6 +436,7 @@ def test_import_leaves_scipy_stats_unloaded():
 
 _FEATURES = "# mode=conventional M=2 D=2 lambda=none\n0.1 0.2\n0.3 0.4\n"
 _FEATURES_3D = "# mode=conventional M=2 D=3 lambda=none\n0.1 0.2 0.5\n0.3 0.4 0.6\n"
+_OPTIMIZED = "# mode=optimized M=2 D=2 lambda=0.0144\n0.1 0.2 q=1\n0.3 0.4 q=1\n"
 
 
 def _edit(text, row, fn):
@@ -499,6 +500,9 @@ _DEFECTS = {
     "eval-q-min-above-one":
         _eval_classifier(_FEATURES, "--lam", 0.02, "--q-min", 5),
     "train-q-min-above-one": _train_with_features(lambda t: t, "--q-min", 2),
+    # train passes --lam 0.02; the classifier would record lambda=0.0144
+    "train-lam-contradicts-optimized-features":
+        _train_with_features(lambda t: _OPTIMIZED),
     "accept-floor-above-one": lambda ws, d: [
         "sample-features", "--task", ws / "task.txt", "--accept-floor", 2],
     "p-above-one": lambda ws, d: [

@@ -92,6 +92,24 @@ def test_predict_single_feature_by_hand():
     assert predict(clf, [[0.0]])[0] == pytest.approx(2.0)
 
 
+@pytest.mark.parametrize("m", [1, 32, 256])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_predict_agrees_with_the_feature_matrix(m, d):
+    # predict uses r cos(t - p); the interleaved matrix a cos t + b sin t
+    fs = make_features(m, d, seed=m + d, scale=1.0)
+    rng = np.random.default_rng(3)
+    alpha = rng.normal(size=2 * m)
+    alpha[2:4] = 0.0  # a zero pair has r = 0 and atan2(0, 0) = 0
+    clf = Classifier(feature_set=fs, alpha=alpha)
+    X = rng.normal(size=(200, d))
+    r_sum = float(np.hypot(alpha[0::2], alpha[1::2]).sum())
+    got = predict(clf, X)
+    assert got.shape == (200,)
+    assert np.max(np.abs(got - feature_matrix(fs, X) @ alpha)) <= 1e-13 * r_sum
+    with pytest.raises(ConfigError, match="dimension"):
+        predict(clf, rng.normal(size=(5, d + 1)))
+
+
 def test_classifier_rejects_wrong_length():
     fs = make_features(2, 1)
     with pytest.raises(ConfigError):

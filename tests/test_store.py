@@ -208,20 +208,37 @@ def _streamed(points, lower, upper, delta) -> CountTree:
     return tree
 
 
+def _reference_walk(tree: CountTree, rng) -> tuple[str, np.ndarray]:
+    """One root-to-leaf walk with one scalar rng.random() per level: the
+    stream sample_cell must consume, draw for draw."""
+    levels, prefix = tree._levels, 0
+    for level in range(tree.spec.depth):
+        left = levels[level + 1].get(2 * prefix, 0)
+        here = levels[level][prefix]
+        prefix = 2 * prefix if rng.random() * here < left else 2 * prefix + 1
+    return tree.spec.leaf_bits(prefix), tree.spec.cell_center(prefix)
+
+
 def _assert_same_tree(got: CountTree, want: CountTree) -> None:
     assert got._levels == want._levels
     assert got.leaf_distribution() == want.leaf_distribution()
     assert np.array_equal(got.expanded_points(), want.expanded_points())
     if want.total() == 0:
+        rng = np.random.default_rng(0)
         with pytest.raises(ConfigError):
-            got.sample_cell(np.random.default_rng(0))
+            got.sample_cell(rng)
+        # the refusal consumed no draw
+        assert rng.random() == np.random.default_rng(0).random()
         return
-    rng_got, rng_want = np.random.default_rng(6), np.random.default_rng(6)
+    rng_got, rng_want, rng_ref = (np.random.default_rng(6) for _ in range(3))
     for _ in range(1000):
         bits, center = got.sample_cell(rng_got)
         bits_want, center_want = want.sample_cell(rng_want)
-        assert bits == bits_want
+        bits_ref, center_ref = _reference_walk(want, rng_ref)
+        assert bits == bits_want == bits_ref
         assert np.array_equal(center, center_want)
+        assert np.array_equal(center, center_ref)
+    assert rng_got.random() == rng_ref.random()
 
 
 def _batch_cases():
