@@ -396,7 +396,14 @@ def _cmd_eval(v):
     _check_out(v["out"], header=RECORD_COLUMNS)
     task = load_task(v["task"])
     clf = load_classifier(v["classifier"])
-    lam = v["lam"] if v["lam"] is not None else clf.feature_set.lam
+    recorded = clf.feature_set.lam
+    if v["lam"] is not None and recorded is not None and v["lam"] != recorded:
+        # the row and its loss would claim a lambda the classifier was not
+        # trained at
+        raise ConfigError(f"--lam: {v['lam']!r} contradicts the "
+                          f"classifier's lambda={recorded!r}, the level "
+                          f"it was trained at")
+    lam = v["lam"] if v["lam"] is not None else recorded
     if lam is None:
         raise ConfigError("lambda is required: the classifier carries none")
     rng = np.random.default_rng(v["seed"])

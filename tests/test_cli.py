@@ -466,8 +466,7 @@ def _train_with_features(fn, *flags, n=20):
 
 
 def _eval_classifier(features, *flags):
-    """eval of a classifier on the 2-feature, lambda-free block
-    ``features``."""
+    """eval of a classifier on the 2-feature block ``features``."""
     def case(ws, d):
         (d / "clf.txt").write_text(features + "0.1 0.2 0.3 0.4\n")
         return ["eval", "--task", ws / "task.txt", "--classifier",
@@ -503,6 +502,9 @@ _DEFECTS = {
     # train passes --lam 0.02; the classifier would record lambda=0.0144
     "train-lam-contradicts-optimized-features":
         _train_with_features(lambda t: _OPTIMIZED),
+    # eval passes --lam 0.02; the classifier records lambda=0.0144
+    "eval-lam-contradicts-classifier":
+        _eval_classifier(_OPTIMIZED, "--lam", 0.02),
     "accept-floor-above-one": lambda ws, d: [
         "sample-features", "--task", ws / "task.txt", "--accept-floor", 2],
     "p-above-one": lambda ws, d: [

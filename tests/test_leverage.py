@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -11,6 +13,7 @@ from optrf.leverage import (
     _BATCH,
     _cell_masses,
     _folded_eigh,
+    _grid_score,
     _normal_cdf,
     _trace_dof,
     build_spectral_model,
@@ -369,3 +372,82 @@ def test_trace_dof_matches_the_cholesky_reference(case, oracle_cases):
     folded = _folded_eigh(points, kern)[2]
     assert abs(_trace_dof(folded, lam)
                - _cholesky_trace_dof(folded, lam)) <= 1e-12
+
+
+# --- the truncated factor and the separable grid --------------------------------
+
+
+@pytest.mark.parametrize(
+    "case", ["distinct-sphere", "count-tree-repeats", "one-point", "line"])
+def test_factor_rank_is_the_smallest_that_meets_the_bound(case, oracle_cases):
+    # dropping eigenpair j moves ell by at most ((1 + lam)/lam) mu_j/(mu_j +
+    # lam) relative; the factor keeps exactly the pairs above 1e-13
+    points, kern, lam = oracle_cases[case]
+    model = build_spectral_model(points, kern, lam)
+    n, r = model.factor.shape
+    assert n == model.rows.shape[0]
+    mu = model.mu[:n]
+    bound = ((1.0 + lam) / lam) * (mu / (mu + lam))
+    assert np.all(bound[r:] <= 1e-13)
+    assert r == 0 or bound[r - 1] > 1e-13
+    if case == "one-point":
+        assert r == 1
+    else:
+        assert r < n
+
+
+@pytest.mark.parametrize("case", ["count-tree-repeats", "distinct-sphere"])
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("cells", [16, 17, 128])
+def test_grid_tabulation_is_leverage_at_cell_centers(case, dim, cells,
+                                                     oracle_cases):
+    # the 1-D cases keep the points' first coordinate
+    points, kern, lam = oracle_cases[case]
+    kern = GaussianKernel(gamma=kern.gamma, dim=dim)
+    model = build_spectral_model(points[:, :dim], kern, lam)
+    tab = tabulate_optimized_density(model, cells)
+    e = tab.edges[0]
+    centers = 0.5 * (e[:-1] + e[1:])
+    V = np.stack([g.ravel() for g in np.meshgrid(*[centers] * dim,
+                                                 indexing="ij")], axis=1)
+    masses = _cell_masses(e / kern.tau_sigma)
+    tau = np.prod(np.meshgrid(*[masses] * dim, indexing="ij"), axis=0).ravel()
+    want = leverage_score(model, V) * tau
+    np.testing.assert_allclose(tab.probs, want / want.sum(), rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("case", ["distinct-sphere", "count-tree-repeats",
+                                  "one-point", "line", "ridge-above-spectrum"])
+def test_tabulated_and_sampled_q_never_exceed_the_envelope(case, oracle_cases):
+    # ell = (1 - |C^T cos|^2 - |C^T sin|^2) / lam never rounds above 1/lam,
+    # so q <= q_max_bound holds exactly; at lam = 1e15 the spectrum barely
+    # dents ell and a sum of squares would round past the envelope
+    if case == "ridge-above-spectrum":
+        points, kern, _ = oracle_cases["distinct-sphere"]
+        lam = 1e15
+    else:
+        points, kern, lam = oracle_cases[case]
+    model = build_spectral_model(points, kern, lam)
+    env = q_max_bound(model)
+    e = tabulate_optimized_density(model, 64).edges[0]
+    assert np.all(_grid_score(model, 0.5 * (e[:-1] + e[1:])) <= env)
+    assert np.all(leverage_score(
+        model, sample_tau(kern, 20_000, np.random.default_rng(32))) <= env)
+    for sample in (sample_optimized_grid, sample_optimized_rejection):
+        fs, _ = sample(model, 200, np.random.default_rng(33))
+        assert np.all(fs.leverage_values <= env)
+
+
+def test_grid_tabulation_holds_no_full_trig_table():
+    # 256^2 cells x 300 rows would be 157 MB per float64 trig table; the
+    # separable route keeps per-coordinate tables and one chunk of rows
+    pts = np.random.default_rng(34).normal(size=(300, 2))
+    model = build_spectral_model(pts, KERN2, 0.01)
+    assert model.rows.shape[0] == 300
+    tracemalloc.start()
+    try:
+        tabulate_optimized_density(model, 256)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
