@@ -4,10 +4,11 @@ Every option can also be supplied through ``--config FILE`` holding flat
 ``key=value`` lines (``#`` starts a comment); explicit flags override the
 file.  Each flag is defined once in ``OPTIONS``; options that are
 ``CellConfig`` fields take their defaults from ``CellConfig()``.
-``--seed`` governs all randomness of a command.  Exit codes: 0 on success,
-2 for configuration errors (a bad flag or config value, or a malformed
-input file; the message names the flag or line), 3 when a task fails its
-margin certificate, 4 when the feature sampler aborts, 5 for I/O problems.
+``--seed`` governs all randomness of a command; ``optrf eval`` reads how
+the classifier was made from its file.  Exit codes: 0 on success, 2 for
+configuration errors (a bad flag or config value, or a malformed input
+file; the message names the flag or line), 3 when a task fails its margin
+certificate, 4 when the feature sampler aborts, 5 for I/O problems.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ from .sgd import (
 from .tasks import (
     CellConfig,
     RECORD_COLUMNS,
-    MetricsRecord,
     bayes_error_estimate,
     certify_task,
     classification_error,
@@ -57,6 +57,7 @@ from .tasks import (
     load_task,
     make_sphere_task,
     make_subgaussian_task,
+    metrics_record,
     records_to_csv,
     resolve_lambda,
     sample_label,
@@ -174,10 +175,6 @@ OPTIONS = {
                     "comma list of lambda values (floats > 0)",
                     [10.0**e for e in (-4, -3.5, -3, -2.5, -2, -1.5, -1)]),
     "q_min": Opt(_parse_interval("(0, 1]"), "density floor q_min in (0, 1]"),
-    "p": Opt(_parse_interval("[0, 1)"),
-             "spectral decay exponent for the schedule (0 <= p < 1)"),
-    "c_lambda": Opt(_parse_positive,
-                    "constant in front of the schedule's lambda (float > 0)"),
     "eta_c": Opt(_parse_positive, "step size scale (float > 0)"),
     "n_unlabeled": Opt(_parse_int(1), "unlabeled points N0 behind the "
                                       "spectral model (int >= 1)"),
@@ -195,11 +192,9 @@ OPTIONS = {
     "diagnostics": Opt(str, "CSV to append sampler diagnostics to "
                             "(optional)"),
     "trace": Opt(str, "CSV path for the per-iteration trace (optional)"),
-    "n_train": Opt(_parse_int(0), "stream length to record in the N column "
-                                  "(int >= 0)", 0),
+    "n_train": Opt(_parse_stream_length, "stream length the classifier must "
+                   "record (optional check; the row takes N from the file)"),
     "trial": Opt(_parse_int(0), "trial index recorded in the row", 0),
-    "accept_rate": Opt(_parse_interval("[0, inf)"), "acceptance rate "
-                       "recorded in the row (default nan)", float("nan")),
     "jobs": Opt(_parse_int(1), "parallel worker processes (int >= 1)", 1),
 }
 
@@ -321,8 +316,7 @@ def _cmd_sample_features(v):
     )
     start = time.perf_counter()
     if v["mode"] == "conventional":
-        fs = sample_conventional(task.kern, v["m"], rng_feat)
-        accept, expect = 1.0, 1.0
+        fs, expect = sample_conventional(task.kern, v["m"], rng_feat), 1.0
     else:
         lam = resolve_lambda(task, _cell_config(v))
         Xu = gen_inputs(task, v["n_unlabeled"], rng_unlab)
@@ -332,27 +326,23 @@ def _cmd_sample_features(v):
             Xu = tree.expanded_points()
         model = build_spectral_model(Xu, task.kern, lam)
         if v["sampler"] == "grid":
-            fs, diag = sample_optimized_grid(
+            fs, _ = sample_optimized_grid(
                 model, v["m"], rng_feat, cells_per_coord=v["grid_cells"])
         else:
-            fs, diag = sample_optimized_rejection(
+            fs, _ = sample_optimized_rejection(
                 model, v["m"], rng_feat, accept_floor=v["accept_floor"],
                 bottom_raised=v["bottom_raised"])
-        accept, expect = diag.acceptance_rate, expected_acceptance(model)
+        expect = expected_acceptance(model)
     elapsed_ms = (time.perf_counter() - start) * 1e3
     atomic_write(v["out"], format_feature_set(fs), force=True)
     if v["diagnostics"]:
-        append_csv_row(
-            v["diagnostics"], _DIAGNOSTICS_HEADER,
-            ",".join([
-                task.name, v["mode"], str(v["m"]),
-                "none" if fs.lam is None else fmt(fs.lam), v["sampler"],
-                str(v["n_unlabeled"]), fmt(accept), fmt(expect),
-                fmt(elapsed_ms / v["m"]), str(v["seed"]),
-            ]),
-        )
+        append_csv_row(v["diagnostics"], _DIAGNOSTICS_HEADER, ",".join([
+            task.name, v["mode"], str(v["m"]),
+            "none" if fs.lam is None else fmt(fs.lam), v["sampler"],
+            str(v["n_unlabeled"]), fmt(fs.acceptance_rate), fmt(expect),
+            fmt(elapsed_ms / v["m"]), str(v["seed"])]))
     print(f"wrote {v['out']} ({v['mode']}, M={v['m']}, "
-          f"acceptance {accept:.4f})")
+          f"acceptance {fs.acceptance_rate:.4f})")
     return EXIT_OK
 
 
@@ -365,8 +355,7 @@ def _cmd_train(v):
     task = load_task(v["task"])
     fs = load_feature_set(v["features"])
     if v["lam"] is not None and fs.lam is not None and v["lam"] != fs.lam:
-        # the classifier file records the feature block's lambda, so a
-        # different training lambda would be misreported downstream
+        # optimized features are drawn for one lambda, the level to train at
         raise ConfigError(f"--lam: {v['lam']!r} contradicts the feature "
                           f"file's lambda={fs.lam!r}, the level its "
                           f"optimized features were sampled for")
@@ -396,28 +385,17 @@ def _cmd_eval(v):
     _check_out(v["out"], header=RECORD_COLUMNS)
     task = load_task(v["task"])
     clf = load_classifier(v["classifier"])
-    recorded = clf.feature_set.lam
-    if v["lam"] is not None and recorded is not None and v["lam"] != recorded:
-        # the row and its loss would claim a lambda the classifier was not
-        # trained at
-        raise ConfigError(f"--lam: {v['lam']!r} contradicts the "
-                          f"classifier's lambda={recorded!r}, the level "
-                          f"it was trained at")
-    lam = v["lam"] if v["lam"] is not None else recorded
-    if lam is None:
-        raise ConfigError("lambda is required: the classifier carries none")
+    recorded = clf.config.stream_length
+    if v["n_train"] is not None and v["n_train"] != recorded:
+        raise ConfigError(f"--n-train: {v['n_train']} contradicts the "
+                          f"classifier's stream_length={recorded}")
     rng = np.random.default_rng(v["seed"])
     start = time.perf_counter()
     X = gen_inputs(task, v["n_test"], rng)
     y = sample_label(task, X, rng)
-    quality = evaluate(task, clf, X, y, lam, v["q_min"])
-    rec = MetricsRecord(
-        task=task.name, mode=clf.feature_set.mode, dim=task.dim,
-        gamma=task.kern.gamma, delta=task.delta, lam=lam,
-        m=clf.feature_set.num_features, n=v["n_train"], trial=v["trial"],
-        seed=v["seed"], accept_rate=v["accept_rate"],
-        wall_ms=(time.perf_counter() - start) * 1e3, **quality,
-    )
+    quality = evaluate(task, clf, X, y)
+    rec = metrics_record(task, clf, v["trial"], v["seed"], quality,
+                         (time.perf_counter() - start) * 1e3)
     append_csv_row(v["out"], RECORD_COLUMNS, rec.to_csv_row())
     print(rec.to_csv_row())
     return EXIT_OK
@@ -482,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_command(sub, "sample-features",
                  ("task", "mode", "m", "lam", "n_unlabeled", "sampler",
                   "accept_floor", "bottom_raised", "grid_cells",
-                  "store_delta", "q_min", "p", "c_lambda", "diagnostics"),
+                  "store_delta", "q_min", "diagnostics"),
                  _cmd_sample_features,
                  help_text="sample a feature set for a task")
     _add_command(sub, "train",
@@ -490,8 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
                  _cmd_train,
                  help_text="train a classifier on a fresh labeled stream")
     _add_command(sub, "eval",
-                 ("task", "classifier", "n_test", "q_min", "lam", "n_train",
-                  "trial", "accept_rate"),
+                 ("task", "classifier", "n_test", "n_train", "trial"),
                  _cmd_eval,
                  help_text="evaluate a classifier; appends one record row")
     _add_command(sub, "sweep-n", sweep + ("mode", "n_grid", "m"),

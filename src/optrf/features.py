@@ -98,12 +98,15 @@ class FeatureSet:
                       q(v_m) relative to tau; each entry must be positive.
     lam             : ridge parameter the optimized distribution was built
                       for; present exactly when mode == "optimized".
+    acceptance_rate : accepted / proposals of the sampler, in (0, 1]; 1.0
+                      for samplers that reject nothing.
     """
 
     freqs: np.ndarray
     mode: str
     leverage_values: np.ndarray | None = None
     lam: float | None = None
+    acceptance_rate: float = 1.0
 
     def __post_init__(self):
         freqs = np.asarray(self.freqs, dtype=float)
@@ -116,6 +119,9 @@ class FeatureSet:
             raise ConfigError("lam must be present exactly when mode is 'optimized'")
         if self.lam is not None and not (self.lam > 0):
             raise ConfigError(f"lam must be positive, got {self.lam}")
+        if not (0 < self.acceptance_rate <= 1):
+            raise ConfigError(f"acceptance_rate must lie in (0, 1], got "
+                              f"{self.acceptance_rate}")
         if self.leverage_values is not None:
             q = np.asarray(self.leverage_values, dtype=float)
             if q.shape != (freqs.shape[0],):
@@ -144,6 +150,7 @@ def kernel_mc_estimate(fs: FeatureSet, x, y) -> float:
 #
 # feature set files are plain text:
 #   # mode=<conventional|optimized> M=<int> D=<int> lambda=<float|none>
+#       accept_rate=<float in (0, 1]>
 #   <v[0,0]> <v[0,1]> ... <v[0,D-1]> [q=<float>]
 #   ...                                        (M rows)
 #
@@ -153,7 +160,8 @@ def kernel_mc_estimate(fs: FeatureSet, x, y) -> float:
 
 def format_feature_set(fs: FeatureSet) -> str:
     lam = "none" if fs.lam is None else fmt(fs.lam)
-    out = [f"# mode={fs.mode} M={fs.num_features} D={fs.dim} lambda={lam}"]
+    out = [f"# mode={fs.mode} M={fs.num_features} D={fs.dim} lambda={lam} "
+           f"accept_rate={fmt(fs.acceptance_rate)}"]
     for m in range(fs.num_features):
         row = " ".join(fmt(v) for v in fs.freqs[m])
         if fs.leverage_values is not None:
@@ -166,7 +174,8 @@ def parse_feature_set(text: str) -> FeatureSet:
     rows = lines(text)
     head = parse_header(rows[0], "", {
         "mode": str, "M": int, "D": int,
-        "lambda": lambda tok: None if tok == "none" else number(tok)})
+        "lambda": lambda tok: None if tok == "none" else number(tok),
+        "accept_rate": float})
     if len(rows) - 1 != head["M"]:
         raise ConfigError(f"expected {head['M']} frequency rows, "
                           f"found {len(rows) - 1}")
@@ -183,6 +192,7 @@ def parse_feature_set(text: str) -> FeatureSet:
         mode=head["mode"],
         leverage_values=np.asarray(qs) if qs else None,
         lam=head["lambda"],
+        acceptance_rate=head["accept_rate"],
     )
 
 

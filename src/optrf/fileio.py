@@ -22,15 +22,14 @@ def fmt(x) -> str:
     return repr(float(x))
 
 
-def number(tok: str, kind=float, finite: bool = True):
-    """``tok`` read as an int or a float; ConfigError unless it is one, and
-    unless it is finite when ``finite`` is set."""
+def number(tok: str, kind=float):
+    """``tok`` as an int or a float; ConfigError unless it is a finite one."""
     try:
         v = kind(tok)
     except ValueError:
         what = "an integer" if kind is int else "a number"
         raise ConfigError(f"expected {what}, got {tok!r}") from None
-    if finite and not math.isfinite(v):
+    if not math.isfinite(v):
         raise ConfigError(f"expected a finite number, got {tok!r}")
     return v
 

@@ -294,13 +294,11 @@ def sample_optimized_rejection(
                     expected_acceptance=exp_rate,
                 )
     fs = FeatureSet(freqs=np.vstack(freqs), mode="optimized",
-                    leverage_values=np.concatenate(qs), lam=model.lam)
-    diag = SamplerDiagnostics(
-        proposals=proposals,
-        accepted=accepted,
-        acceptance_rate=accepted / proposals,
-        expected_acceptance=exp_rate,
-    )
+                    leverage_values=np.concatenate(qs), lam=model.lam,
+                    acceptance_rate=accepted / proposals)
+    diag = SamplerDiagnostics(proposals=proposals, accepted=accepted,
+                              acceptance_rate=fs.acceptance_rate,
+                              expected_acceptance=exp_rate)
     return fs, diag
 
 

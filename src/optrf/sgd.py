@@ -44,7 +44,7 @@ oracle is one ``numpy.linalg.solve``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from itertools import islice
 
 import numpy as np
@@ -52,7 +52,7 @@ import numpy as np
 from .errors import ConfigError, StreamExhausted
 from .features import (FeatureSet, feature_pair, format_feature_set,
                        parse_feature_set)
-from .fileio import fmt, lines, load, parse_row
+from .fileio import fmt, lines, load, located, parse_header, parse_row
 
 _CHUNK = 1024          # rows per feature-matrix chunk and norm resync
 _NSQ_GUARD = 1e-9      # relative band below radius^2 checked exactly
@@ -127,10 +127,12 @@ def feature_matrix(fs: FeatureSet, X) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Classifier:
-    """A feature set plus its 2M coefficient vector."""
+    """A feature set plus its 2M coefficient vector, and the TrainConfig it
+    was trained with (set by ``train_arrays``; a classifier file needs it)."""
 
     feature_set: FeatureSet
     alpha: np.ndarray
+    config: TrainConfig | None = None
 
     def __post_init__(self):
         alpha = np.asarray(self.alpha, dtype=float)
@@ -140,6 +142,8 @@ class Classifier:
                 f"got shape {alpha.shape}"
             )
         object.__setattr__(self, "alpha", alpha)
+        if self.config is not None:
+            _check_feature_count(self.feature_set, self.config)
 
 
 def predict(clf: Classifier, X) -> np.ndarray:
@@ -353,7 +357,7 @@ def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
                        iterates=iterates, q_floor=q_floor,
                        q_min_holds=None if q_floor is None
                        else cfg.q_min <= q_floor)
-    return Classifier(feature_set=fs, alpha=final), trace
+    return Classifier(feature_set=fs, alpha=final, config=cfg), trace
 
 
 @dataclass(frozen=True)
@@ -403,20 +407,29 @@ def theorem_lambda(delta: float, f_norm: float, q_min: float, p: float,
 
 # --- classifier file format ------------------------------------------------
 #
-# the feature set block followed by a single line holding the 2M
-# coefficients.
+# the feature set block, a "# train" line holding the TrainConfig it was
+# trained with as <field>=<value> tokens, and a line of the 2M coefficients.
+
+_TRAIN_KINDS = {f.name: {"float": float, "int": int}[f.type]
+                for f in fields(TrainConfig)}
 
 
 def format_classifier(clf: Classifier) -> str:
+    train = " ".join(f"{k}={fmt(v) if kind is float else v}" for (k, kind), v
+                     in zip(_TRAIN_KINDS.items(), astuple(clf.config)))
     coeffs = " ".join(fmt(a) for a in clf.alpha)
-    return format_feature_set(clf.feature_set) + coeffs + "\n"
+    return f"{format_feature_set(clf.feature_set)}# train {train}\n{coeffs}\n"
 
 
 def parse_classifier(text: str) -> Classifier:
-    rows = lines(text, least=2)
-    fs = parse_feature_set("\n".join(text.splitlines()[:rows[-1][0] - 1]))
-    alpha = parse_row(rows[-1], count=2 * fs.num_features)
-    return Classifier(feature_set=fs, alpha=np.array(alpha))
+    rows = lines(text, least=3)
+    head = parse_header(rows[-2], "train", _TRAIN_KINDS)
+    fs = parse_feature_set("\n".join(text.splitlines()[:rows[-2][0] - 1]))
+    alpha = np.array(parse_row(rows[-1], count=2 * fs.num_features))
+    # TrainConfig's range checks and the feature-count check name this line
+    with located(f"line {rows[-2][0]}"):
+        return Classifier(feature_set=fs, alpha=alpha,
+                          config=TrainConfig(**head))
 
 
 def load_classifier(path) -> Classifier:

@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import CertificationError, ConfigError
 from .features import GaussianKernel, gram
-from .fileio import (fmt, lines, load, number, number_list, parse_header,
-                     parse_row)
+from .fileio import fmt, lines, load, number_list, parse_header, parse_row
 from .leverage import (
     build_spectral_model,
     sample_conventional,
@@ -43,6 +42,7 @@ _CERTIFY_PROBES = 10_000
 _CERTIFY_SEED = 271828  # fixed probe stream for load-time recertification
 _CHUNK = 1024           # rows per draw of a labeled stream
 _RESCALE_CAP = 0.999    # headroom so unprobed support points stay inside [-1, 1]
+_SCHEDULE = (1e-6, 1.0)  # theorem_lambda's (p, c_lambda), the p -> 0 limit
 
 
 @dataclass(frozen=True)
@@ -331,13 +331,13 @@ def function_distances(fhat_values, fstar_values) -> tuple[float, float]:
     return float(np.sqrt((diff**2).mean())), float(np.abs(diff).max())
 
 
-def evaluate(task: SyntheticTask, clf: Classifier, X, y, lam: float,
-             q_min: float) -> dict[str, float]:
+def evaluate(task: SyntheticTask, clf: Classifier, X, y) -> dict[str, float]:
     """Quality fields of a MetricsRecord for a classifier on a test set.
 
-    Predicts once: the regularized loss reuses the predictions, to the
-    same bits as regularized_empirical_loss.
+    The loss is taken at the classifier's training lam and q_min, reusing
+    the predictions, to the same bits as regularized_empirical_loss.
     """
+    cfg = clf.config
     fhat = predict(clf, X)
     fref = f_star(task, X)
     class_err = classification_error(fhat, y)
@@ -346,7 +346,8 @@ def evaluate(task: SyntheticTask, clf: Classifier, X, y, lam: float,
     return {
         "class_err": class_err, "bayes_err": bayes_err,
         "excess_err": class_err - bayes_err, "l2": l2, "linf": linf,
-        "loss": regularized_empirical_loss(clf, X, y, lam, q_min, fhat=fhat),
+        "loss": regularized_empirical_loss(clf, X, y, cfg.lam, cfg.q_min,
+                                           fhat=fhat),
     }
 
 
@@ -379,15 +380,26 @@ class MetricsRecord:
                         for f, v in zip(fields(self), astuple(self)))
 
 
+def metrics_record(task: SyntheticTask, clf: Classifier, trial: int, seed: int,
+                   quality: dict[str, float], wall_ms: float) -> MetricsRecord:
+    """The record of ``clf``: lam and N from its config, accept_rate from its
+    feature set."""
+    fs, cfg = clf.feature_set, clf.config
+    return MetricsRecord(
+        task=task.name, mode=fs.mode, dim=task.dim, gamma=task.kern.gamma,
+        delta=task.delta, lam=cfg.lam, m=fs.num_features,
+        n=cfg.stream_length, trial=trial, seed=seed,
+        accept_rate=fs.acceptance_rate, wall_ms=wall_ms, **quality,
+    )
+
+
 # CSV columns named differently from their MetricsRecord fields
 _COLUMN_NAMES = {"dim": "D", "lam": "lambda", "m": "M", "n": "N"}
 RECORD_COLUMNS = ",".join(_COLUMN_NAMES.get(f.name, f.name)
                           for f in fields(MetricsRecord))
 
 
-# nan marks a value not recorded, such as optrf eval's accept_rate
-_RECORD_KINDS = [{"str": str, "int": int,
-                  "float": partial(number, finite=False)}[f.type]
+_RECORD_KINDS = [{"str": str, "int": int, "float": float}[f.type]
                  for f in fields(MetricsRecord)]
 
 
@@ -412,7 +424,7 @@ class CellConfig:
     """Everything one pipeline cell needs besides (task, mode, M, N, seed).
 
     lam=None selects the guarantee's ridge level for the task's margin and
-    norm (the p -> 0 limit unless p is raised).
+    norm (the p -> 0 limit of its schedule).
     """
 
     lam: float | None = None
@@ -423,8 +435,6 @@ class CellConfig:
     sampler: str = "rejection"
     accept_floor: float = 1e-6
     bottom_raised: bool = False
-    p: float = 1e-6
-    c_lambda: float = 1.0
 
     def __post_init__(self):
         if self.sampler not in ("rejection", "grid"):
@@ -437,8 +447,7 @@ class CellConfig:
 def resolve_lambda(task: SyntheticTask, cfg: CellConfig) -> float:
     if cfg.lam is not None:
         return cfg.lam
-    return theorem_lambda(task.delta, task.f_norm, cfg.q_min, cfg.p,
-                          cfg.c_lambda)
+    return theorem_lambda(task.delta, task.f_norm, cfg.q_min, *_SCHEDULE)
 
 
 def _labeled_chunks(task: SyntheticTask, n: int, rng: np.random.Generator):
@@ -494,16 +503,13 @@ def run_cell(task: SyntheticTask, mode: str, m: int, n: int, trial: int,
         Xu = gen_inputs(task, cfg.n_unlabeled, r_unlab)
         model = build_spectral_model(Xu, task.kern, lam)
         if cfg.sampler == "grid":
-            fs, diag = sample_optimized_grid(model, m, r_feat)
+            fs, _ = sample_optimized_grid(model, m, r_feat)
         else:
-            fs, diag = sample_optimized_rejection(
+            fs, _ = sample_optimized_rejection(
                 model, m, r_feat, accept_floor=cfg.accept_floor,
-                bottom_raised=cfg.bottom_raised,
-            )
-        accept_rate = diag.acceptance_rate
+                bottom_raised=cfg.bottom_raised)
     elif mode == "conventional":
         fs = sample_conventional(task.kern, m, r_feat)
-        accept_rate = 1.0
     else:
         raise ConfigError(f"mode must be optimized or conventional, got {mode!r}")
 
@@ -514,13 +520,9 @@ def run_cell(task: SyntheticTask, mode: str, m: int, n: int, trial: int,
 
     X_test = gen_inputs(task, cfg.n_test, r_test)
     y_test = sample_label(task, X_test, r_test)
-    quality = evaluate(task, clf, X_test, y_test, lam, cfg.q_min)
-    wall_ms = (time.perf_counter() - start) * 1e3
-    return MetricsRecord(
-        task=task.name, mode=mode, dim=task.dim, gamma=task.kern.gamma,
-        delta=task.delta, lam=lam, m=m, n=n, trial=trial, seed=seed,
-        accept_rate=accept_rate, wall_ms=wall_ms, **quality,
-    )
+    quality = evaluate(task, clf, X_test, y_test)
+    return metrics_record(task, clf, trial, seed, quality,
+                          (time.perf_counter() - start) * 1e3)
 
 
 def derive_cell_seed(base_seed: int, *indices: int) -> int:

@@ -22,8 +22,9 @@ from optrf.cli import (
 )
 from optrf.features import load_feature_set
 from optrf.fileio import number
-from optrf.sgd import load_classifier
-from optrf.tasks import CellConfig, load_task, parse_records_csv
+from optrf.sgd import load_classifier, regularized_empirical_loss
+from optrf.tasks import (CellConfig, gen_inputs, load_task, parse_records_csv,
+                         sample_label)
 
 
 @pytest.fixture(scope="module")
@@ -244,7 +245,35 @@ def test_eval_appends_record_rows(ws):
     assert [r.trial for r in recs] == [0, 1]
     assert recs[0].mode == "optimized"
     assert recs[0].m == 8
-    assert np.isnan(recs[0].accept_rate)
+    assert recs[0].accept_rate == \
+        load_feature_set(ws / "opt.txt").acceptance_rate < 1.0
+
+
+def test_eval_records_how_the_classifier_was_made(ws, tmp_path):
+    # rejection features, a classifier trained off the defaults, and an eval
+    # given no training flags: the row's N, lambda, accept_rate and loss all
+    # come from the files
+    feats, clf, diag, out = (tmp_path / name for name in
+                             ("f.txt", "clf.txt", "d.csv", "m.csv"))
+    assert run("sample-features", "--task", ws / "task.txt", "--m", 8,
+               "--n-unlabeled", 40, "--diagnostics", diag,
+               "--out", feats) == EXIT_OK
+    assert run("train", "--task", ws / "task.txt", "--features", feats,
+               "--n", 64, "--q-min", 0.5, "--out", clf) == EXIT_OK
+    assert run("eval", "--task", ws / "task.txt", "--classifier", clf,
+               "--n-test", 300, "--seed", 5, "--out", out) == EXIT_OK
+    (rec,) = parse_records_csv(out.read_text())
+    header, row = (ln.split(",") for ln in diag.read_text().splitlines())
+    accept = number(row[header.index("accept_rate")])
+    lam = load_feature_set(feats).lam
+    assert (rec.n, rec.lam, rec.accept_rate) == (64, lam, accept)
+    assert accept < 1.0
+    task = load_task(ws / "task.txt")
+    rng = np.random.default_rng(5)
+    X = gen_inputs(task, 300, rng)
+    y = sample_label(task, X, rng)
+    assert rec.loss == regularized_empirical_loss(load_classifier(clf), X, y,
+                                                  lam, 0.5)
 
 
 # --- sweeps and spectrum --------------------------------------------------------------
@@ -370,7 +399,7 @@ def test_sample_features_checks_the_diagnostics_header_first(ws, clf_file,
                                                              tmp_path):
     metrics = tmp_path / "metrics.csv"
     assert run("eval", "--task", ws / "task.txt", "--classifier", clf_file[1],
-               "--n-test", 50, "--lam", 0.02, "--out", metrics) == EXIT_OK
+               "--n-test", 50, "--out", metrics) == EXIT_OK
     before = metrics.read_bytes()
     out = tmp_path / "feats.txt"
     assert run("sample-features", "--task", ws / "task.txt", "--m", 4,
@@ -434,9 +463,14 @@ def test_import_leaves_scipy_stats_unloaded():
 
 # --- malformed inputs: exit 2, one error line, no output ---------------------
 
-_FEATURES = "# mode=conventional M=2 D=2 lambda=none\n0.1 0.2\n0.3 0.4\n"
-_FEATURES_3D = "# mode=conventional M=2 D=3 lambda=none\n0.1 0.2 0.5\n0.3 0.4 0.6\n"
-_OPTIMIZED = "# mode=optimized M=2 D=2 lambda=0.0144\n0.1 0.2 q=1\n0.3 0.4 q=1\n"
+_FEATURES = ("# mode=conventional M=2 D=2 lambda=none accept_rate=1.0\n"
+             "0.1 0.2\n0.3 0.4\n")
+_FEATURES_3D = ("# mode=conventional M=2 D=3 lambda=none accept_rate=1.0\n"
+                "0.1 0.2 0.5\n0.3 0.4 0.6\n")
+_OPTIMIZED = ("# mode=optimized M=2 D=2 lambda=0.0144 accept_rate=0.5\n"
+              "0.1 0.2 q=1\n0.3 0.4 q=1\n")
+_TRAIN = ("# train lam=0.02 num_features=2 stream_length=20 q_min=1.0 "
+          "f_norm=1.0 eta_c=1.0\n")
 
 
 def _edit(text, row, fn):
@@ -465,10 +499,11 @@ def _train_with_features(fn, *flags, n=20):
     return case
 
 
-def _eval_classifier(features, *flags):
-    """eval of a classifier on the 2-feature block ``features``."""
+def _eval_classifier(features, *flags, train=_TRAIN):
+    """eval of a classifier on the 2-feature block ``features``, trained as
+    its ``train`` line says."""
     def case(ws, d):
-        (d / "clf.txt").write_text(features + "0.1 0.2 0.3 0.4\n")
+        (d / "clf.txt").write_text(features + train + "0.1 0.2 0.3 0.4\n")
         return ["eval", "--task", ws / "task.txt", "--classifier",
                 d / "clf.txt", "--n-test", 20, *flags]
     return case
@@ -493,22 +528,22 @@ _DEFECTS = {
         _train_with_features(lambda t: _edit(t, 1, _first_token("nan"))),
     "train-features-of-another-dimension":
         _train_with_features(lambda t: _FEATURES_3D),
-    "eval-classifier-of-another-dimension":
-        _eval_classifier(_FEATURES_3D, "--lam", 0.02),
-    "eval-classifier-without-lambda": _eval_classifier(_FEATURES),
-    "eval-q-min-above-one":
-        _eval_classifier(_FEATURES, "--lam", 0.02, "--q-min", 5),
+    "feature-header-accept-rate-zero": _train_with_features(
+        lambda t: t.replace("accept_rate=1.0", "accept_rate=0")),
+    "eval-classifier-of-another-dimension": _eval_classifier(_FEATURES_3D),
+    "eval-classifier-without-train-line":
+        _eval_classifier(_FEATURES, train=""),
+    "eval-train-line-of-another-feature-count": _eval_classifier(
+        _FEATURES, train=_TRAIN.replace("num_features=2", "num_features=3")),
+    # the classifier records stream_length=20
+    "eval-n-train-contradicts-classifier":
+        _eval_classifier(_FEATURES, "--n-train", 64),
     "train-q-min-above-one": _train_with_features(lambda t: t, "--q-min", 2),
-    # train passes --lam 0.02; the classifier would record lambda=0.0144
+    # train passes --lam 0.02; the features were drawn for lambda=0.0144
     "train-lam-contradicts-optimized-features":
         _train_with_features(lambda t: _OPTIMIZED),
-    # eval passes --lam 0.02; the classifier records lambda=0.0144
-    "eval-lam-contradicts-classifier":
-        _eval_classifier(_OPTIMIZED, "--lam", 0.02),
     "accept-floor-above-one": lambda ws, d: [
         "sample-features", "--task", ws / "task.txt", "--accept-floor", 2],
-    "p-above-one": lambda ws, d: [
-        "sample-features", "--task", ws / "task.txt", "--p", 1.5],
     "delta-above-one": lambda ws, d: ["gen-task", "--delta", 1.5],
     "config-m-not-an-int": _config_m_x,
     "m-grid-not-an-int": lambda ws, d: [
@@ -542,10 +577,9 @@ def test_malformed_input_exits_2_without_output(defect, ws, tmp_path, capsys):
 _FLAG_DEFECTS = {"m-grid-zero": "--m-grid", "m-grid-empty": "--m-grid",
                  "n-grid-odd": "--n-grid", "n-odd": "--n",
                  "lam-grid-zero": "--lam-grid",
-                 "eval-q-min-above-one": "--q-min",
                  "train-q-min-above-one": "--q-min",
                  "accept-floor-above-one": "--accept-floor",
-                 "p-above-one": "--p", "delta-above-one": "--delta"}
+                 "delta-above-one": "--delta"}
 
 
 @pytest.mark.parametrize("defect", sorted(_FLAG_DEFECTS))

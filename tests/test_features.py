@@ -154,6 +154,7 @@ def _random_feature_set(rng, optimized: bool) -> FeatureSet:
             mode="optimized",
             leverage_values=rng.uniform(0.1, 3.0, size=7),
             lam=0.025,
+            acceptance_rate=0.0437,
         )
     return FeatureSet(freqs=freqs, mode="conventional")
 
@@ -166,6 +167,7 @@ def test_feature_file_round_trip_is_byte_identical(tmp_path, optimized):
     assert format_feature_set(fs2) == text
     assert np.array_equal(fs2.freqs, fs.freqs)
     assert fs2.mode == fs.mode and fs2.lam == fs.lam
+    assert fs2.acceptance_rate == fs.acceptance_rate
     if optimized:
         assert np.array_equal(fs2.leverage_values, fs.leverage_values)
 
@@ -189,8 +191,14 @@ def test_feature_file_parse_errors():
     with pytest.raises(ConfigError):
         parse_feature_set("1.0 2.0\n")
     with pytest.raises(ConfigError):
-        parse_feature_set("# mode=conventional M=2 D=1 lambda=none\n0.5\n")
+        parse_feature_set("# mode=conventional M=2 D=1 lambda=none "
+                          "accept_rate=1.0\n0.5\n")
     with pytest.raises(ConfigError):
-        parse_feature_set("# mode=conventional M=1 D=2 lambda=none\n0.5\n")
+        parse_feature_set("# mode=conventional M=1 D=2 lambda=none "
+                          "accept_rate=1.0\n0.5\n")
     with pytest.raises(ConfigError):
-        parse_feature_set("# mode=conventional M=junk D=1 lambda=none\n0.5\n")
+        parse_feature_set("# mode=conventional M=junk D=1 lambda=none "
+                          "accept_rate=1.0\n0.5\n")
+    with pytest.raises(ConfigError, match="acceptance_rate"):
+        parse_feature_set("# mode=conventional M=1 D=1 lambda=none "
+                          "accept_rate=1.5\n0.5\n")

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 from optrf.errors import ConfigError
 from optrf.features import (FeatureSet, GaussianKernel, format_feature_set,
                             parse_feature_set)
-from optrf.sgd import Classifier, format_classifier, parse_classifier
+from optrf.sgd import (Classifier, TrainConfig, format_classifier,
+                       parse_classifier)
 from optrf.tasks import (MetricsRecord, SphereDist, SubgaussianDist,
                          SyntheticTask, format_task, parse_records_csv,
                          parse_task, records_to_csv)
@@ -26,6 +27,7 @@ SETTINGS = settings(max_examples=60, deadline=None,
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 positive = st.floats(min_value=1e-3, max_value=1e3)
+unit = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
 names = st.text(max_size=12).filter(
     lambda s: not any(c.isspace() or c == "," for c in s))
 
@@ -68,25 +70,31 @@ def feature_sets(draw):
     return FeatureSet(freqs=draw(arrays((m, dim))),
                       mode="optimized" if optimized else "conventional",
                       leverage_values=q,
-                      lam=draw(positive) if optimized else None)
+                      lam=draw(positive) if optimized else None,
+                      acceptance_rate=draw(unit))
 
 
 @st.composite
 def classifiers(draw):
     fs = draw(feature_sets())
+    cfg = TrainConfig(lam=draw(positive), num_features=fs.num_features,
+                      stream_length=2 * draw(st.integers(1, 10**9)),
+                      q_min=draw(unit), f_norm=draw(positive),
+                      eta_c=draw(positive))
     return Classifier(feature_set=fs,
-                      alpha=draw(arrays((2 * fs.num_features,))))
+                      alpha=draw(arrays((2 * fs.num_features,))), config=cfg)
 
 
+# every record column is recorded, so the CSV holds finite numbers only
 records = st.builds(
     MetricsRecord, task=names,
     mode=st.sampled_from(["optimized", "conventional"]),
-    dim=st.integers(1, 9), gamma=st.floats(), delta=st.floats(),
-    lam=st.floats(), m=st.integers(0, 10**6), n=st.integers(0, 10**9),
+    dim=st.integers(1, 9), gamma=finite, delta=finite,
+    lam=finite, m=st.integers(0, 10**6), n=st.integers(0, 10**9),
     trial=st.integers(0, 99), seed=st.integers(0, 2**64),
-    class_err=st.floats(), bayes_err=st.floats(), excess_err=st.floats(),
-    l2=st.floats(), linf=st.floats(), loss=st.floats(),
-    accept_rate=st.floats(), wall_ms=st.floats())
+    class_err=finite, bayes_err=finite, excess_err=finite,
+    l2=finite, linf=finite, loss=finite,
+    accept_rate=finite, wall_ms=finite)
 
 # (strategy of valid objects, format, parse, type of a parsed object)
 FORMATS = {

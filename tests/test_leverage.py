@@ -146,6 +146,8 @@ def test_rejection_sampler_output(line_model):
     assert diag.acceptance_rate == pytest.approx(
         expected_acceptance(line_model), rel=0.2
     )
+    # the feature set carries the rate into its file
+    assert fs.acceptance_rate == diag.acceptance_rate == 500 / diag.proposals
 
 
 def test_rejection_sampler_deterministic(line_model):

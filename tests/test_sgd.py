@@ -114,6 +114,9 @@ def test_classifier_rejects_wrong_length():
     fs = make_features(2, 1)
     with pytest.raises(ConfigError):
         Classifier(feature_set=fs, alpha=np.zeros(3))
+    # a training config must be for the same feature count
+    with pytest.raises(ConfigError, match="M=2 but config says 1"):
+        Classifier(feature_set=fs, alpha=np.zeros(4), config=CFG)
 
 
 def test_loss_by_hand():
@@ -390,6 +393,7 @@ def assert_matches_reference(fs, X, y, cfg, keep_iterates):
     via_pairs, pair_trace = train(fs, pairs, cfg, keep_iterates)
     assert np.array_equal(via_pairs.alpha, clf.alpha)
     assert np.array_equal(pair_trace.loss, trace.loss)
+    assert clf.config is via_pairs.config is cfg
 
     def close(new, old):
         assert np.abs(new - old).max() <= ORACLE_RTOL * np.abs(old).max()
@@ -524,15 +528,21 @@ def test_theorem_lambda_polynomial_correction():
 def test_classifier_round_trip_is_byte_exact(tmp_path):
     fs = make_features(3, 2, seed=19)
     rng = np.random.default_rng(20)
-    clf = Classifier(feature_set=fs, alpha=rng.normal(size=6))
+    cfg = TrainConfig(lam=0.03, num_features=3, stream_length=64, q_min=0.5,
+                      f_norm=1.7, eta_c=2.0)
+    clf = Classifier(feature_set=fs, alpha=rng.normal(size=6), config=cfg)
     path = tmp_path / "clf.txt"
     atomic_write(path, format_classifier(clf))
     back = load_classifier(path)
     assert format_classifier(back) == format_classifier(clf)
     assert np.array_equal(back.alpha, clf.alpha)
     assert np.array_equal(back.feature_set.freqs, clf.feature_set.freqs)
+    assert back.config == cfg
 
 
 def test_parse_classifier_needs_coefficient_line():
     with pytest.raises(ConfigError):
-        parse_classifier("# mode=conventional M=1 D=1 lambda=none\n")
+        parse_classifier("# mode=conventional M=1 D=1 lambda=none "
+                         "accept_rate=1.0\n0.5\n# train lam=0.5 "
+                         "num_features=1 stream_length=2 q_min=1.0 "
+                         "f_norm=1.0 eta_c=1.0\n")

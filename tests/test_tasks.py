@@ -314,13 +314,16 @@ def test_function_distances():
     assert linf == pytest.approx(0.25)
 
 
+_RECORD = MetricsRecord(
+    task="sphere-ref", mode="optimized", dim=2, gamma=1.0, delta=0.5,
+    lam=0.0144, m=32, n=4096, trial=3, seed=12345, class_err=0.081,
+    bayes_err=0.079, excess_err=0.002, l2=0.12, linf=0.3,
+    loss=0.456, accept_rate=0.044, wall_ms=17.25,
+)
+
+
 def test_records_round_trip():
-    rec = MetricsRecord(
-        task="sphere-ref", mode="optimized", dim=2, gamma=1.0, delta=0.5,
-        lam=0.0144, m=32, n=4096, trial=3, seed=12345, class_err=0.081,
-        bayes_err=0.079, excess_err=0.002, l2=0.12, linf=0.3,
-        loss=0.456, accept_rate=0.044, wall_ms=17.25,
-    )
+    rec = _RECORD
     text = records_to_csv([rec, rec])
     assert text.startswith(RECORD_COLUMNS + "\n")
     back = parse_records_csv(text)
@@ -330,6 +333,15 @@ def test_records_round_trip():
         parse_records_csv("not,a,header\n1,2,3\n")
     with pytest.raises(ConfigError):
         parse_records_csv(RECORD_COLUMNS + "\nonly,three,fields\n")
+
+
+def test_records_refuse_a_nan():
+    # every column is recorded, so nan is malformed like any non-number
+    text = records_to_csv([_RECORD]).replace(",0.044,", ",nan,")
+    assert ",nan," in text
+    with pytest.raises(ConfigError,
+                       match="^line 2: expected a finite number, got 'nan'$"):
+        parse_records_csv(text)
 
 
 # --- streams and cells -----------------------------------------------------------
