@@ -26,7 +26,7 @@ from . import store
 from .errors import CertificationError, ConfigError, SamplerAbort
 from .features import load_feature_set, format_feature_set
 from .fileio import (append_csv_row, atomic_write, csv_is_new, fmt, lines,
-                     located, number)
+                     load, located, number)
 from .leverage import (
     build_spectral_model,
     expected_acceptance,
@@ -280,6 +280,13 @@ def _check_out(path, force=False, header=None):
         raise FileExistsError(f"{path} exists; pass --force to overwrite")
 
 
+def _check_dim(path, fs, task):
+    """ConfigError at the header of ``path`` unless fs.dim == task.dim."""
+    if fs.dim != task.dim:
+        no = load(path, lambda text: lines(text)[0][0])
+        raise ConfigError(f"{path}: line {no}: D={fs.dim}, the task's D={task.dim}")
+
+
 # --- gen-task ---------------------------------------------------------------
 
 def _cmd_gen_task(v):
@@ -354,6 +361,7 @@ def _cmd_train(v):
         _check_out(v["trace"], v["force"])
     task = load_task(v["task"])
     fs = load_feature_set(v["features"])
+    _check_dim(v["features"], fs, task)
     if v["lam"] is not None and fs.lam is not None and v["lam"] != fs.lam:
         # optimized features are drawn for one lambda, the level to train at
         raise ConfigError(f"--lam: {v['lam']!r} contradicts the feature "
@@ -385,6 +393,7 @@ def _cmd_eval(v):
     _check_out(v["out"], header=RECORD_COLUMNS)
     task = load_task(v["task"])
     clf = load_classifier(v["classifier"])
+    _check_dim(v["classifier"], clf.feature_set, task)
     recorded = clf.config.stream_length
     if v["n_train"] is not None and v["n_train"] != recorded:
         raise ConfigError(f"--n-train: {v['n_train']} contradicts the "

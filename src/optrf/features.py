@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .fileio import fmt, lines, load, number, parse_header, parse_row
+from .fileio import fmt, lines, load, located, number, parse_header, parse_row
 
 FEATURE_MODES = ("conventional", "optimized")
 
@@ -185,15 +185,15 @@ def parse_feature_set(text: str) -> FeatureSet:
         freqs.append(parse_row((no, coords), count=head["D"]))
         if has_q:
             qs.extend(parse_row((no, q), count=1))
+            if not qs[-1] > 0:
+                raise ConfigError(f"line {no}: q must be positive, got {qs[-1]}")
     if qs and len(qs) != head["M"]:
         raise ConfigError("leverage values must be present on every row or none")
-    return FeatureSet(
-        freqs=np.array(freqs),
-        mode=head["mode"],
-        leverage_values=np.asarray(qs) if qs else None,
-        lam=head["lambda"],
-        acceptance_rate=head["accept_rate"],
-    )
+    # the q values are checked; what else FeatureSet checks is in the header
+    with located(f"line {rows[0][0]}"):
+        return FeatureSet(freqs=np.array(freqs), mode=head["mode"],
+                          leverage_values=np.asarray(qs) if qs else None,
+                          lam=head["lambda"], acceptance_rate=head["accept_rate"])
 
 
 def load_feature_set(path) -> FeatureSet:

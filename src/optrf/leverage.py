@@ -30,7 +30,9 @@ never exceeds 1/lam in floating point, so q <= q_max_bound holds exactly.
 
 On the grid sampler's product grid e^{-2 pi i v.x} factors by coordinate:
 the cos/sin tables of each coordinate (cells x n) give the D = 2 rows by
-angle addition, a chunk of rows at a time.
+angle addition, a chunk of rows at a time.  ell(-v) = ell(v) and the grid
+centers are antisymmetric to the bit, so only the first ceil(cells/2)
+values of the leading coordinate are scored; the rest is their mirror.
 
 The module needs numpy only: the trace-route check on d(lam) is one
 ``numpy.linalg.solve``, and the grid sampler's tau masses come from a normal
@@ -382,18 +384,21 @@ def _grid_score(model: SpectralModel, centers: np.ndarray) -> np.ndarray:
     The trig tables are per coordinate, (cells, n) each; the D = 2 rows
     come from cos(a + b) = c1 c2 - s1 s2 and sin(a + b) = s1 c2 + c1 s2,
     about _BATCH rows at a time into reused buffers, so no cells^D x n
-    table is ever held.
+    table is ever held.  The second half mirrors the first, ell(-v) = ell(v)
+    for ``centers`` antisymmetric to the bit.
     """
     ang = 2.0 * np.pi * (centers[None, :, None] * model.rows.T[:, None, :])
     cos, sin = np.cos(ang), np.sin(ang)
     dim, cells, n = ang.shape
     inner = cells ** (dim - 1)
     step = max(1, _BATCH // inner)
+    top = (cells + 1) // 2
     out = np.empty(cells * inner)
     if dim == 2:
         cbuf, sbuf, tmp = np.empty((3, step, cells, n))
-    for lo in range(0, cells, step):
-        c, s = cos[0, lo:lo + step], sin[0, lo:lo + step]
+    for lo in range(0, top, step):
+        hi = min(lo + step, top)
+        c, s = cos[0, lo:hi], sin[0, lo:hi]
         if dim == 2:
             k = len(c)
             c1, s1 = c[:, None], s[:, None]
@@ -402,7 +407,8 @@ def _grid_score(model: SpectralModel, centers: np.ndarray) -> np.ndarray:
             s = np.multiply(s1, cos[1], out=sbuf[:k])
             s += np.multiply(c1, sin[1], out=tmp[:k])
             c, s = c.reshape(-1, n), s.reshape(-1, n)
-        out[lo * inner:(lo + step) * inner] = _ell(model, c, s)
+        out[lo * inner:hi * inner] = _ell(model, c, s)
+    out[top * inner:] = out[:(cells - top) * inner][::-1]
     return out / model.dof
 
 

@@ -37,14 +37,18 @@ and no (n, 2M) matrix.  The identity a cos t + b sin t = r cos(t - p) is
 exact, so the two forms agree up to rounding of order eps * sum_k r_k.
 
 The step's vector operations are scipy's level-1 BLAS (ddot, dscal, daxpy),
-imported inside the loop's function, so only training loads scipy; the ridge
-oracle is one ``numpy.linalg.solve``.
+loaded on first use from the file of the f2py extension ``scipy.linalg._fblas``
+alone: importing ``scipy.linalg`` for them costs a process about 0.2 s more.
+Only training loads scipy; the ridge oracle is one ``numpy.linalg.solve``.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import astuple, dataclass, field, fields
+from importlib import machinery, util
 from itertools import islice
 
 import numpy as np
@@ -56,6 +60,20 @@ from .fileio import fmt, lines, load, located, parse_header, parse_row
 
 _CHUNK = 1024          # rows per feature-matrix chunk and norm resync
 _NSQ_GUARD = 1e-9      # relative band below radius^2 checked exactly
+
+
+def _fblas():
+    """The module ``scipy.linalg.blas`` takes ddot, dscal and daxpy from."""
+    name = "scipy.linalg._fblas"
+    if name not in sys.modules:
+        scipy_dir = util.find_spec("scipy").submodule_search_locations[0]
+        path = f"{scipy_dir}/linalg/_fblas{machinery.EXTENSION_SUFFIXES[0]}"
+        if not os.path.isfile(path):
+            raise ImportError(f"scipy's BLAS extension is not at {path}")
+        spec = util.spec_from_file_location(name, path)
+        sys.modules[name] = module = util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name]
 
 
 @dataclass(frozen=True)
@@ -231,13 +249,12 @@ class TrainTrace:
     q_min_holds: bool | None = None
 
     def to_csv(self) -> str:
-        lines = ["t,loss,alpha_norm,eta,projected"]
-        for i in range(self.t.size):
-            lines.append(
-                f"{self.t[i]},{fmt(self.loss[i])},{fmt(self.alpha_norm[i])},"
-                f"{fmt(self.eta[i])},{int(self.projected[i])}"
-            )
-        return "\n".join(lines) + "\n"
+        # repr of the Python floats .tolist() returns is fileio.fmt's text
+        cols = (c.tolist() for c in (
+            self.t, self.loss, self.alpha_norm, self.eta, self.projected))
+        return "".join(["t,loss,alpha_norm,eta,projected\n"] + [
+            f"{t},{loss!r},{norm!r},{eta!r},{int(p)}\n"
+            for t, loss, norm, eta, p in zip(*cols)])
 
 
 def _exact_nsq(alpha: np.ndarray, t: int) -> float:
@@ -314,8 +331,9 @@ def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
 
     # BLAS level-1 calls update alpha and suffix in place; on vectors this
     # short they cost a fraction of the equivalent numpy expressions.  They
-    # are the only scipy the package uses, so only training pays its import.
-    from scipy.linalg.blas import daxpy, ddot, dscal
+    # are the only scipy the package uses, so only training pays its load.
+    fblas = _fblas()
+    daxpy, ddot, dscal = fblas.daxpy, fblas.ddot, fblas.dscal
 
     t = 0
     for lo in range(0, n, _CHUNK):

@@ -129,10 +129,11 @@ class SubgaussianDist:
     def sample(self, n: int, rng: np.random.Generator) -> np.ndarray:
         comp = rng.choice(self.centers.shape[0], size=n, p=self.weights)
         off = rng.normal(0.0, self.sigma, size=(n, self.dim))
-        bad = np.any(np.abs(off) > self.trunc, axis=1)
-        while np.any(bad):
-            off[bad] = rng.normal(0.0, self.sigma, size=(int(bad.sum()), self.dim))
-            bad = np.any(np.abs(off) > self.trunc, axis=1)
+        # redraw only the rows still out of bounds, and test only the redraws
+        bad = np.flatnonzero(np.any(np.abs(off) > self.trunc, axis=1))
+        while bad.size:
+            off[bad] = new = rng.normal(0.0, self.sigma, size=(bad.size, self.dim))
+            bad = bad[np.any(np.abs(new) > self.trunc, axis=1)]
         return self.centers[comp] + off
 
 
@@ -326,8 +327,7 @@ def classification_error(values, y) -> float:
 
 def function_distances(fhat_values, fstar_values) -> tuple[float, float]:
     """(root-mean-square, max-abs) distance between prediction vectors."""
-    diff = np.asarray(fhat_values, dtype=float) - np.asarray(fstar_values,
-                                                             dtype=float)
+    diff = np.subtract(fhat_values, fstar_values, dtype=float)
     return float(np.sqrt((diff**2).mean())), float(np.abs(diff).max())
 
 
@@ -452,12 +452,9 @@ def resolve_lambda(task: SyntheticTask, cfg: CellConfig) -> float:
 
 def _labeled_chunks(task: SyntheticTask, n: int, rng: np.random.Generator):
     """n fresh labeled examples as (X, y) chunks of up to _CHUNK rows."""
-    remaining = n
-    while remaining > 0:
-        take = min(_CHUNK, remaining)
-        X = gen_inputs(task, take, rng)
+    for lo in range(0, n, _CHUNK):
+        X = gen_inputs(task, min(_CHUNK, n - lo), rng)
         yield X, sample_label(task, X, rng)
-        remaining -= take
 
 
 def labeled_stream(task: SyntheticTask, n: int, rng: np.random.Generator):

@@ -441,10 +441,11 @@ def test_only_train_loads_scipy(tmp_path):
                          "--out", "grid.txt") == set()
     assert scipy_modules("sample-features", *task, "--m", "8",
                          "--n-unlabeled", "50", "--out", "rej.txt") == set()
-    trained = scipy_modules("train", *task, "--features", "rej.txt",
-                            "--n", "20", "--out", "clf.txt")
-    assert "scipy.linalg.blas" in trained
-    assert "scipy.special" not in trained
+    # train loads the BLAS extension by its file: not scipy.linalg, nor
+    # scipy.linalg.blas, nor scipy._lib beneath them
+    assert scipy_modules("train", *task, "--features", "rej.txt",
+                         "--n", "20", "--out", "clf.txt") == {
+        "scipy.linalg._fblas"}
     assert scipy_modules("eval", *task, "--classifier", "clf.txt",
                          "--n-test", "100", "--out", "m.csv") == set()
     assert scipy_modules("spectrum", *task, "--n-unlabeled", "30",
@@ -528,6 +529,8 @@ _DEFECTS = {
         _train_with_features(lambda t: _edit(t, 1, _first_token("nan"))),
     "train-features-of-another-dimension":
         _train_with_features(lambda t: _FEATURES_3D),
+    "frequency-q-zero": _train_with_features(
+        lambda t: _OPTIMIZED.replace("q=1\n0.3", "q=0\n0.3")),
     "feature-header-accept-rate-zero": _train_with_features(
         lambda t: t.replace("accept_rate=1.0", "accept_rate=0")),
     "eval-classifier-of-another-dimension": _eval_classifier(_FEATURES_3D),
@@ -562,6 +565,13 @@ _DEFECTS = {
 }
 
 
+# (file, line) that the error line of a semantic defect must name
+_LOCATED = {"eval-classifier-of-another-dimension": ("clf.txt", 1),
+            "train-features-of-another-dimension": ("feats.txt", 1),
+            "feature-header-accept-rate-zero": ("feats.txt", 1),
+            "frequency-q-zero": ("feats.txt", 2)}
+
+
 @pytest.mark.parametrize("defect", sorted(_DEFECTS))
 def test_malformed_input_exits_2_without_output(defect, ws, tmp_path, capsys):
     out = tmp_path / "out.txt"
@@ -570,6 +580,9 @@ def test_malformed_input_exits_2_without_output(defect, ws, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not out.exists()
+    if defect in _LOCATED:
+        name, no = _LOCATED[defect]
+        assert err.startswith(f"error: {tmp_path / name}: line {no}: ")
 
 
 # out-of-range flag values: the flag is checked when parsed, so the one

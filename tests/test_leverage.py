@@ -400,10 +400,12 @@ def test_factor_rank_is_the_smallest_that_meets_the_bound(case, oracle_cases):
 
 @pytest.mark.parametrize("case", ["count-tree-repeats", "distinct-sphere"])
 @pytest.mark.parametrize("dim", [1, 2])
-@pytest.mark.parametrize("cells", [16, 17, 128])
+@pytest.mark.parametrize("cells", [2, 3, 16, 17, 128])
 def test_grid_tabulation_is_leverage_at_cell_centers(case, dim, cells,
                                                      oracle_cases):
-    # the 1-D cases keep the points' first coordinate
+    # the 1-D cases keep the points' first coordinate.  Half the grid is
+    # scored and the other half mirrored, since ell(-v) = ell(v): reversing
+    # the flat C-order index maps each center v to -v
     points, kern, lam = oracle_cases[case]
     kern = GaussianKernel(gamma=kern.gamma, dim=dim)
     model = build_spectral_model(points[:, :dim], kern, lam)
@@ -416,6 +418,8 @@ def test_grid_tabulation_is_leverage_at_cell_centers(case, dim, cells,
     tau = np.prod(np.meshgrid(*[masses] * dim, indexing="ij"), axis=0).ravel()
     want = leverage_score(model, V) * tau
     np.testing.assert_allclose(tab.probs, want / want.sum(), rtol=1e-12, atol=0)
+    assert np.array_equal(tab.probs, tab.probs[::-1])
+    assert np.array_equal(V[::-1], -V)
 
 
 @pytest.mark.parametrize("case", ["distinct-sphere", "count-tree-repeats",

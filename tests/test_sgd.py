@@ -1,14 +1,23 @@
+import importlib.util
+import os
+import re
+import subprocess
+import sys
+from importlib.machinery import EXTENSION_SUFFIXES, ModuleSpec
 from itertools import islice
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve
 
+import optrf
 from optrf.errors import ConfigError, StreamExhausted
 from optrf.features import FeatureSet, feature_pair
-from optrf.fileio import atomic_write
+from optrf.fileio import atomic_write, fmt
 from optrf.leverage import build_spectral_model, sample_optimized_rejection
 from optrf.sgd import (
+    _fblas,
     Classifier,
     TrainConfig,
     TrainTrace,
@@ -277,6 +286,27 @@ def test_trace_csv_shape():
     assert lines[1].split(",")[-1] in {"0", "1"}
 
 
+def _projecting_run(n=200):
+    """(features, X, y, config) of a run whose projection fires."""
+    fs = make_features(4, 1, seed=10)
+    cfg = TrainConfig(lam=0.05, num_features=4, stream_length=n, q_min=1.0,
+                      f_norm=0.05, eta_c=5.0)
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-1, 1, size=(n, 1))
+    return fs, X, np.sin(3.0 * X[:, 0]), cfg
+
+
+def test_trace_csv_is_the_per_row_fmt_text():
+    _, trace = train_arrays(*_projecting_run())
+    assert trace.projected.any() and not trace.projected.all()
+    # the writer as first written: fileio.fmt on each numpy scalar
+    want = ["t,loss,alpha_norm,eta,projected"] + [
+        f"{trace.t[i]},{fmt(trace.loss[i])},{fmt(trace.alpha_norm[i])},"
+        f"{fmt(trace.eta[i])},{int(trace.projected[i])}"
+        for i in range(trace.t.size)]
+    assert trace.to_csv() == "\n".join(want) + "\n"
+
+
 def test_train_arrays_rejects_mismatched_shapes():
     fs = make_features(2, 1)
     cfg = TrainConfig(lam=0.1, num_features=2, stream_length=4, q_min=1.0,
@@ -447,6 +477,73 @@ def test_train_matches_reference_when_projection_dominates(n):
     ys = np.array([p[1] for p in pairs])
     trace = assert_matches_reference(fs, Xs, ys, cfg, keep_iterates=True)
     assert trace.projected.mean() > 0.5
+
+
+# --- level-1 BLAS --------------------------------------------------------------
+
+
+def test_loaded_blas_matches_numpy():
+    blas = _fblas()
+    assert blas is sys.modules["scipy.linalg._fblas"]
+    rng = np.random.default_rng(40)
+    eps = np.finfo(float).eps
+    for n in (1, 7, 64, 1000):
+        x, y = rng.normal(size=(2, n))
+        a = float(rng.normal())
+        # summation order and fused multiply-adds may differ from numpy's
+        bound = 2 * n * eps * float(np.abs(x) @ np.abs(y))
+        assert abs(blas.ddot(x, y) - float(x @ y)) <= bound
+        assert np.array_equal(blas.dscal(a, x.copy()), a * x)
+        want = a * x + y
+        assert np.all(np.abs(blas.daxpy(x, y.copy(), a=a) - want)
+                      <= 2 * eps * (np.abs(a * x) + np.abs(y)))
+
+
+def test_blas_loader_names_the_missing_file(tmp_path, monkeypatch):
+    # one location and no fallback: with scipy's package directory moved,
+    # training fails at the path even though scipy.linalg.blas imports
+    spec = ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._fblas", raising=False)
+    path = os.path.join(str(tmp_path), "linalg",
+                        "_fblas" + EXTENSION_SUFFIXES[0])
+    with pytest.raises(ImportError, match=re.escape(path)):
+        _fblas()
+    with pytest.raises(ImportError, match=re.escape(path)):
+        train_arrays(*_projecting_run())
+    assert "scipy.linalg._fblas" not in sys.modules
+
+
+_TRAIN_THEN_IMPORT = (
+    "import sys\n"
+    "if sys.argv[1] == 'scipy-first':\n"
+    "    import scipy.linalg\n"
+    "import numpy as np\n"
+    "from optrf.features import FeatureSet\n"
+    "from optrf.sgd import TrainConfig, _fblas, train_arrays\n"
+    "rng = np.random.default_rng(41)\n"
+    "fs = FeatureSet(freqs=rng.normal(size=(16, 2)), mode='conventional')\n"
+    "X = rng.normal(size=(2048, 2))\n"
+    "cfg = TrainConfig(lam=0.01, num_features=16, stream_length=2048, "
+    "q_min=1.0, f_norm=1.0)\n"
+    "clf, trace = train_arrays(fs, X, np.sign(X[:, 0]), cfg)\n"
+    "import scipy.linalg.blas\n"
+    "assert scipy.linalg.blas.ddot is _fblas().ddot\n"
+    "print(trace.projected.sum(), clf.alpha.tobytes().hex())\n"
+)
+
+
+def test_training_before_and_after_importing_scipy_linalg_agree():
+    # the extension loaded by file location is the module scipy.linalg.blas
+    # re-exports, whichever of the two loads it first
+    src = str(Path(optrf.__file__).resolve().parents[1])
+    runs = [subprocess.run(
+        [sys.executable, "-c", _TRAIN_THEN_IMPORT, order], check=True,
+        capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src}).stdout
+        for order in ("train-first", "scipy-first")]
+    assert runs[0] == runs[1]
 
 
 # --- ridge oracle ------------------------------------------------------------

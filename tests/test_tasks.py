@@ -115,6 +115,35 @@ def test_cluster_samples_stay_in_truncation_boxes():
     assert (nearest == 1).mean() == pytest.approx(0.75, abs=5 * 0.0062)
 
 
+def _full_recheck_sample(d, n, rng):
+    """The sampler as first written: every round re-tests all n rows."""
+    comp = rng.choice(d.centers.shape[0], size=n, p=d.weights)
+    off = rng.normal(0.0, d.sigma, size=(n, d.dim))
+    bad = np.any(np.abs(off) > d.trunc, axis=1)
+    while np.any(bad):
+        off[bad] = rng.normal(0.0, d.sigma, size=(int(bad.sum()), d.dim))
+        bad = np.any(np.abs(off) > d.trunc, axis=1)
+    return d.centers[comp] + off
+
+
+@pytest.mark.parametrize("n", [1, 7, 1024, 100_000])
+@pytest.mark.parametrize("trunc", [0.5, 0.25])
+def test_cluster_sampler_equals_the_full_recheck_loop(n, trunc):
+    # trunc = 0.5 is the reference task's; at 0.25 (half a sigma) a row is
+    # kept with probability 0.15, so 100_000 rows take about 70 rounds
+    centers = np.array([[-1.5, 0.0], [1.5, 0.0]])
+    d = SubgaussianDist(centers=centers, sigma=0.5, trunc=trunc,
+                        weights=np.array([0.5, 0.5]))
+    for seed in range(3):
+        r_new, r_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        X = d.sample(n, r_new)
+        assert np.array_equal(X, _full_recheck_sample(d, n, r_ref))
+        # the same draws, so the streams continue alike
+        assert r_new.bit_generator.state == r_ref.bit_generator.state
+        off = np.abs(X[:, None, :] - centers[None, :, :]).max(axis=2)
+        assert np.all(off.min(axis=1) <= trunc + 1e-12)
+
+
 def test_cluster_bounding_box():
     d = SubgaussianDist(centers=np.array([[-1.0, 0.0], [2.0, 1.0]]),
                         sigma=0.5, trunc=0.5, weights=np.array([0.5, 0.5]))
