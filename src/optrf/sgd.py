@@ -15,14 +15,13 @@ mu = lam M q_min, iterates are projected onto the ball of radius
 2 sqrt(2) f_norm / sqrt(M q_min), and the returned coefficients are the
 average of the last N/2 iterates.
 
-Each step costs a few length-2M vector operations and no norm.  Every
-feature row has ||phi(x)||^2 = M because cos^2 + sin^2 = 1, so the update
-alpha' = a alpha + b phi with a = 1 - 2 eta mu and b = -2 eta (f(x) - y)
-has
+The update is alpha' = a alpha + b phi with a = 1 - 2 eta mu and
+b = -2 eta (f(x) - y).  Every feature row has ||phi(x)||^2 = M because
+cos^2 + sin^2 = 1, so
 
-    ||alpha'||^2 = a^2 ||alpha||^2 + 2 a b f(x) + b^2 M,
+    ||alpha'||^2 = a^2 ||alpha||^2 + 2 a b f(x) + b^2 M
 
-and the step already holds f(x).  That one tracked scalar decides when the
+is tracked without a norm.  That one tracked scalar decides when the
 projection must be checked, feeds the trace's loss and alpha_norm columns,
 and turns non-finite as soon as alpha does.  It is recomputed exactly as
 alpha . alpha (which also checks finiteness) whenever it nears or leaves
@@ -30,16 +29,41 @@ the ball, after every projection, and at every 1024-row chunk boundary, so
 its rounding drift stays within one chunk.  Feature rows are built one
 chunk at a time; no N x 2M matrix is ever held.
 
+Steps run in blocks of up to 64, each solved as one unit.  Over a block
+that starts at step s with coefficients alpha_s, write alpha_(s+j) =
+R_j beta_j, where R_j = a_s ... a_(s+j-1) is the product of the a's since
+the block start.  Then beta_(j+1) = beta_j + d_j phi_j, and the scaled steps
+d solve one lower-triangular system over the block's feature rows Phi,
+
+    (diag(a / 2 eta) + strictly-lower Phi Phi^T) d = y / R - Phi alpha_s:
+
+one dsyrk, one dtrsv and two dgemv.  Each step's residual is
+-R_(j+1) d_j / 2 eta_j, and its tracked norm R_j^2 ||beta_j||^2 follows
+from a cumulative sum.  The block's iterates enter the suffix average as
+alpha_s times the sum of their R's plus a weight on each row, from a
+reverse cumulative sum; one more dgemv per chunk applies the weights.
+The block is cut at its first step whose tracked norm leaves
+[0, r^2 (1 - 1e-9)]: that step gets the exact check and the projection,
+and the next block starts after it.  R restarts at every block, and a block
+ends before R falls below 1e-30, so y / R stays finite.  Three kinds of
+steps run one at a time on level-1 BLAS instead:
+  - those with a <= 0, that is t + 1 <= 2 eta_c;
+  - those within 16 steps of the last projection, where projections tend
+    to come close together and would cut blocks short;
+  - all steps when 2M > 128, where the block's Gram product costs more
+    than the single steps it replaces.
+
 Prediction uses the amplitude-phase form of the same sum,
 f(x) = sum_k r_k cos(-2 pi v_k.x - p_k) with r_k = hypot(alpha_2k,
 alpha_2k+1) and p_k = atan2(alpha_2k+1, alpha_2k): one cosine per feature
 and no (n, 2M) matrix.  The identity a cos t + b sin t = r cos(t - p) is
 exact, so the two forms agree up to rounding of order eps * sum_k r_k.
 
-The step's vector operations are scipy's level-1 BLAS (ddot, dscal, daxpy),
-loaded on first use from the file of the f2py extension ``scipy.linalg._fblas``
-alone: importing ``scipy.linalg`` for them costs a process about 0.2 s more.
-Only training loads scipy; the ridge oracle is one ``numpy.linalg.solve``.
+Training's BLAS routines (ddot, dscal, daxpy, dgemv, dsyrk, dtrsv) are
+scipy's, loaded on first use from the file of the f2py extension
+``scipy.linalg._fblas`` alone: importing ``scipy.linalg`` for them costs a
+process about 0.2 s more.  Only training loads scipy; the ridge oracle is
+one ``numpy.linalg.solve``.
 """
 
 from __future__ import annotations
@@ -60,6 +84,10 @@ from .fileio import fmt, lines, load, located, parse_header, parse_row
 
 _CHUNK = 1024          # rows per feature-matrix chunk and norm resync
 _NSQ_GUARD = 1e-9      # relative band below radius^2 checked exactly
+_BLOCK = 64            # SGD steps per triangular solve
+_BLOCK_WIDTH = 128     # widest feature row (2M) trained in blocks
+_SCALE_FLOOR = 1e-30   # least decay product within one block
+_CALM = 16             # steps after a projection that run one at a time
 
 
 def _fblas():
@@ -320,6 +348,14 @@ def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
     r2_guard = radius * radius * (1.0 - _NSQ_GUARD)
     etas = cfg.eta_c / mu / np.arange(1, n + 1)
 
+    # a = 1 - 2 eta mu rises with t and is <= 0 exactly while t+1 <= 2 eta_c
+    decay = 1.0 - etas * two_mu
+    first_block = (n if 2 * m > _BLOCK_WIDTH
+                   else int(np.searchsorted(decay, 0.0, side="right")))
+    diag = 0.5 * decay / etas
+    coef = m - 2.0 * diag
+    neg_inv2eta = -0.5 / etas
+
     half = n // 2
     alpha = np.zeros(2 * m)
     suffix = np.zeros(2 * m)
@@ -328,39 +364,121 @@ def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
     nsqs = np.empty(n)
     projected = []
     iterates = np.empty((n, 2 * m)) if keep_iterates else None
+    prod = np.ones(_BLOCK + 1)
 
-    # BLAS level-1 calls update alpha and suffix in place; on vectors this
-    # short they cost a fraction of the equivalent numpy expressions.  They
-    # are the only scipy the package uses, so only training pays its load.
+    # BLAS calls update alpha and suffix in place; on operands this small
+    # they cost a fraction of the equivalent numpy expressions.  They are the
+    # only scipy the package uses, so only training pays its load.
     fblas = _fblas()
     daxpy, ddot, dscal = fblas.daxpy, fblas.ddot, fblas.dscal
+    dgemv, dsyrk, dtrsv = fblas.dgemv, fblas.dsyrk, fblas.dtrsv
 
-    t = 0
-    for lo in range(0, n, _CHUNK):
-        Phi = feature_matrix(fs, X[lo:lo + _CHUNK])
-        for phi, y_t, eta in zip(Phi, y[lo:lo + _CHUNK].tolist(),
-                                 etas[lo:lo + _CHUNK].tolist()):
+    def settle(t):
+        """The exact norm check and projection after update t."""
+        nonlocal alpha, nsq
+        nsq = _exact_nsq(alpha, t)
+        norm = math.sqrt(nsq)
+        if norm > radius:
+            alpha *= radius / norm
+            nsq = _exact_nsq(alpha, t)
+            projected.append(t)
+
+    def steps(Phi, lo, stop):
+        """Updates t ... stop-1 one at a time; Phi holds the rows from lo."""
+        nonlocal t, alpha, suffix, nsq
+        for phi, y_t, eta, a in zip(Phi[t - lo:stop - lo], y[t:stop].tolist(),
+                                    etas[t:stop].tolist(),
+                                    decay[t:stop].tolist()):
             pred = ddot(phi, alpha)
             resid = pred - y_t
             resids[t] = resid
             nsqs[t] = nsq
-            a = 1.0 - eta * two_mu
             b = -2.0 * eta * resid
             alpha = daxpy(phi, dscal(a, alpha), a=b)
             nsq = a * a * nsq + 2.0 * a * b * pred + b * b * m
             if not 0.0 <= nsq <= r2_guard:
-                nsq = _exact_nsq(alpha, t)
-                norm = math.sqrt(nsq)
-                if norm > radius:
-                    alpha *= radius / norm
-                    nsq = _exact_nsq(alpha, t)
-                    projected.append(t)
+                settle(t)
             if iterates is not None:
                 iterates[t] = alpha
             # iterate t+1 joins the suffix average when t+1 >= N/2 + 1
             if t >= half:
                 suffix = daxpy(alpha, suffix)
             t += 1
+
+    t = 0
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        Phi = feature_matrix(fs, X[lo:hi])
+        # F-ordered: f2py would copy a C-ordered block of rows before each
+        # BLAS call, and reads any run of PhiT's columns in place
+        PhiT = Phi.T
+        # the suffix gains weights[i] * Phi[i] from the blocks' steps
+        weights = np.zeros(hi - lo)
+        while t < hi:
+            # blocks this close to a projection are mostly cut short
+            start = (first_block if not projected
+                     else max(first_block, projected[-1] + _CALM + 1))
+            if t < start:
+                steps(Phi, lo, min(hi, start))
+                continue
+            k = min(_BLOCK, hi - t)
+            r = t - lo
+            # alpha_(t+j) = R_j beta_j with R_j = a_t ... a_(t+j-1); R
+            # restarts at every block, so 1/R stays finite
+            np.multiply.accumulate(decay[t:t + k], out=prod[1:k + 1])
+            if prod[k] < _SCALE_FLOOR:
+                k = max(1, int((prod[1:k + 1] >= _SCALE_FLOOR).sum()))
+            before, scale = prod[:k], prod[1:k + 1]
+            rows = PhiT[:, r:r + k]
+            # (diag(a / 2 eta) + strictly-lower Phi Phi^T) d = y / R - Phi beta
+            target = y[t:t + k] / before
+            d = dgemv(-1.0, rows, alpha, beta=1.0, y=target, trans=1)
+            gram = dsyrk(1.0, rows, trans=1, lower=1)
+            gram.ravel("F")[::k + 1] = diag[t:t + k]
+            d = dtrsv(gram, d, lower=1, overwrite_x=1)
+            # beta_(j+1) = beta_j + d_j phi_j with phi_j . beta_j =
+            # y_j / R_j - d_j a_j / 2 eta_j, so ||beta||^2 gains
+            # d_j (2 y_j / R_j + (M - a_j / eta_j) d_j) at step j
+            nsq_after = d * (2.0 * target + coef[t:t + k] * d)
+            np.add.accumulate(nsq_after, out=nsq_after)
+            nsq_after += nsq
+            nsq_after *= scale * scale
+            cut = not (nsq_after.min() >= 0.0 and nsq_after.max() <= r2_guard)
+            if cut:
+                ok = (nsq_after >= 0.0) & (nsq_after <= r2_guard)
+                k = int(ok.argmin()) + 1
+            # pred_j - y_j = -R_(j+1) d_j / 2 eta_j
+            resids[t:t + k] = scale[:k] * neg_inv2eta[t:t + k] * d[:k]
+            nsqs[t] = nsq
+            nsqs[t + 1:t + k] = nsq_after[:k - 1]
+            # iterate j+1 = R_(j+1) (alpha + sum_(i<=j) d_i phi_i) joins the
+            # suffix for the steps first <= j < done; a cut step joins after
+            # its projection
+            done, first = k - cut, max(half - t, 0)
+            if done > first:
+                tail = np.add.accumulate(scale[first:done][::-1])[::-1]
+                weights[r:r + first] = tail[0] * d[:first]
+                weights[r + first:r + done] = tail * d[first:done]
+                suffix = daxpy(alpha, suffix, a=tail[0])
+            if iterates is not None:
+                block = iterates[t:t + k]
+                np.cumsum(d[:k, None] * Phi[r:r + k], axis=0, out=block)
+                block += alpha
+                block *= scale[:k, None]
+            alpha = dgemv(scale[k - 1], rows[:, :k], d[:k], beta=scale[k - 1],
+                          y=alpha, overwrite_y=1)
+            t += k
+            if cut:
+                settle(t - 1)
+                if iterates is not None:
+                    iterates[t - 1] = alpha
+                if t - 1 >= half:
+                    suffix = daxpy(alpha, suffix)
+            else:
+                nsq = float(nsq_after[k - 1])
+        if weights.any():
+            suffix = dgemv(1.0, PhiT, weights, beta=1.0, y=suffix,
+                           overwrite_y=1)
         nsq = _exact_nsq(alpha, t - 1)
 
     proj = np.zeros(n, dtype=bool)

@@ -17,6 +17,7 @@ from optrf.features import FeatureSet, feature_pair
 from optrf.fileio import atomic_write, fmt
 from optrf.leverage import build_spectral_model, sample_optimized_rejection
 from optrf.sgd import (
+    _CALM,
     _fblas,
     Classifier,
     TrainConfig,
@@ -439,12 +440,13 @@ def assert_matches_reference(fs, X, y, cfg, keep_iterates):
     return trace
 
 
-@pytest.mark.parametrize("m", [32, 256])
+@pytest.mark.parametrize("m", [32, 64, 65, 256])
 @pytest.mark.parametrize("seed", [0, 1, 2])
 def test_train_matches_reference_on_the_sphere_task(m, seed):
     # the pipeline's own configuration: optimized features on the two-arc
-    # task at the schedule's lambda, N = 16384; iterates are compared at
-    # M = 32 only, where holding two copies takes 8 MB rather than 64
+    # task at the schedule's lambda, N = 16384.  M = 64 is the widest trained
+    # in blocks and M = 65 the narrowest trained one step at a time;
+    # iterates are compared below M = 256, where two copies would take 64 MB
     task = make_sphere_task()
     cell = CellConfig()
     lam = resolve_lambda(task, cell)
@@ -457,7 +459,7 @@ def test_train_matches_reference_on_the_sphere_task(m, seed):
     cfg = TrainConfig(lam=lam, num_features=m, stream_length=16384,
                       q_min=cell.q_min, f_norm=task.f_norm)
     X, y = labeled_arrays(task, cfg.stream_length, r_stream)
-    trace = assert_matches_reference(fs, X, y, cfg, keep_iterates=m == 32)
+    trace = assert_matches_reference(fs, X, y, cfg, keep_iterates=m < 256)
     assert trace.projected.any()
 
 
@@ -479,7 +481,66 @@ def test_train_matches_reference_when_projection_dominates(n):
     assert trace.projected.mean() > 0.5
 
 
-# --- level-1 BLAS --------------------------------------------------------------
+def _sphere_run(m, n, eta_c, seed=0):
+    """(features, X, y, config) of M conventional features on two arcs."""
+    task = make_sphere_task()
+    rng = np.random.default_rng(seed)
+    X, y = labeled_arrays(task, n, rng)
+    fs = make_features(m, X.shape[1], seed=seed + 1)
+    cfg = TrainConfig(lam=1.0, num_features=m, stream_length=n, q_min=1.0,
+                      f_norm=task.f_norm, eta_c=eta_c)
+    return fs, X, y, cfg
+
+
+@pytest.mark.parametrize("n", [1030, 3000])
+@pytest.mark.parametrize("eta_c", [0.7, 5.0, 50.0])
+def test_train_matches_reference_across_step_scales(n, eta_c):
+    # steps with t+1 <= 2 eta_c run one at a time, so the first block starts
+    # anywhere; N = 1030 ends on a six-row chunk and N = 3000 on a short block
+    assert_matches_reference(*_sphere_run(8, n, eta_c), keep_iterates=True)
+
+
+def test_train_matches_reference_when_the_block_decay_is_steep():
+    # at eta_c = 500 the steps from t = 1000 on have a = 1 - 1000/(t+1), so
+    # the product of a's falls below _SCALE_FLOOR within a few steps and the
+    # first blocks end early; scaled over a whole 1024-row chunk instead, it
+    # underflows and training fails
+    assert_matches_reference(*_sphere_run(8, 3000, 500.0), keep_iterates=True)
+
+
+@pytest.mark.parametrize("eta_c", [1.0, 5.0])
+def test_train_matches_reference_when_projections_cut_blocks(eta_c):
+    # a radius the iterates touch now and then: dozens of projections follow
+    # long stretches without one, so they fall inside blocks and cut them
+    fs = make_features(4, 1, seed=10)
+    cfg = TrainConfig(lam=0.05, num_features=4, stream_length=3000, q_min=1.0,
+                      f_norm=0.35, eta_c=eta_c)
+    rng = np.random.default_rng(11)
+    X = rng.uniform(-1, 1, size=(40, 1))
+    y = np.sin(3.0 * X[:, 0])
+    pairs = list(islice(resample(X, y, rng), cfg.stream_length))
+    Xs = np.array([p[0] for p in pairs])
+    ys = np.array([p[1] for p in pairs])
+    trace = assert_matches_reference(fs, Xs, ys, cfg, keep_iterates=True)
+    # a projection more than _CALM steps after the last is found by a block
+    steps = np.flatnonzero(trace.projected)
+    assert (np.diff(steps) > _CALM).sum() >= 10
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_train_names_a_non_finite_update_inside_a_block():
+    fs, X, y, cfg = _sphere_run(8, 1024, 1.0)
+    y = y.copy()
+    y[700] = np.inf
+    with pytest.raises(RuntimeError) as ref:
+        _reference_train(fs, zip(X, y), cfg)
+    assert "iteration 700" in str(ref.value)
+    with pytest.raises(RuntimeError, match=re.escape(str(ref.value))):
+        train_arrays(fs, X, y, cfg)
+
+
+# --- BLAS ------------------------------------------------------------------
 
 
 def test_loaded_blas_matches_numpy():
@@ -497,6 +558,32 @@ def test_loaded_blas_matches_numpy():
         want = a * x + y
         assert np.all(np.abs(blas.daxpy(x, y.copy(), a=a) - want)
                       <= 2 * eps * (np.abs(a * x) + np.abs(y)))
+    # the level-2 and level-3 routines on runs of rows of a C-ordered
+    # matrix, read through its F-ordered transpose as train_arrays does
+    Phi = rng.normal(size=(100, 64))
+    for i, k in ((0, 1), (3, 17), (36, 64)):
+        rows = Phi.T[:, i:i + k]
+        assert rows.flags.f_contiguous
+        block = Phi[i:i + k]
+        x, z = rng.normal(size=(2, k))
+        alpha = rng.normal(size=64)
+        bound = 2 * 64 * eps * (np.abs(block) @ np.abs(block).T)
+        gram = blas.dsyrk(1.0, rows, trans=1, lower=1)
+        low = np.tril_indices(k)
+        assert np.all(np.abs(gram - block @ block.T)[low] <= bound[low])
+        # a well-conditioned lower triangle, solved by forward substitution;
+        # what lies above the diagonal is never read
+        tri = np.tril(block @ block.T, -1) / 64 + np.diag(1.0 + x * x)
+        junk = np.triu(rng.normal(size=(k, k)), 1)
+        sol = blas.dtrsv(np.asfortranarray(tri + junk), z, lower=1)
+        assert np.allclose(tri @ sol, z, rtol=0, atol=1e-12)
+        got = blas.dgemv(-1.0, rows, alpha, beta=1.0, y=z, trans=1)
+        size = np.abs(block) @ np.abs(alpha) + np.abs(z)
+        assert np.all(np.abs(got - (z - block @ alpha)) <= 2 * 64 * eps * size)
+        got = blas.dgemv(2.0, rows, x, beta=0.5, y=alpha)
+        assert np.all(np.abs(got - (2.0 * block.T @ x + 0.5 * alpha))
+                      <= 2 * k * eps * (2.0 * np.abs(block.T) @ np.abs(x)
+                                        + np.abs(alpha)))
 
 
 def test_blas_loader_names_the_missing_file(tmp_path, monkeypatch):
