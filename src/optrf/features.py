@@ -59,13 +59,30 @@ def eval_kernel(kern: GaussianKernel, x, y) -> np.ndarray:
 def gram(kern: GaussianKernel, X, Y=None) -> np.ndarray:
     """Gram matrix K[i, j] = k(X[i], Y[j]); Y defaults to X.
 
-    With Y omitted the result is exactly symmetric with a unit diagonal
-    because each entry is computed from the coordinate differences alone.
+    The squared distance is accumulated one coordinate at a time into one
+    (n, a) buffer, adding the squared differences left to right: no
+    (n, a, D) temporary is made.  numpy's ``sum`` adds fewer than 8 terms in
+    the same order, so for D < 8 the result is bit-identical to
+    ``exp(-gamma * ((X[:, None] - Y[None]) ** 2).sum(-1))``; from D = 8 on
+    numpy sums pairwise and the two differ by rounding.  With Y omitted the
+    result is exactly symmetric with a unit diagonal because each entry is
+    computed from the coordinate differences alone.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = X if Y is None else np.atleast_2d(np.asarray(Y, dtype=float))
-    d2 = ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=-1)
-    return np.exp(-kern.gamma * d2)
+    for name, A in (("X", X), ("Y", Y)):
+        if A.shape[1] != kern.dim:
+            raise ConfigError(f"{name} has dimension {A.shape[1]}, the kernel "
+                              f"has dimension {kern.dim}")
+    d2 = np.subtract.outer(X[:, 0], Y[:, 0])
+    d2 *= d2
+    t = np.empty_like(d2)
+    for j in range(1, kern.dim):
+        np.subtract.outer(X[:, j], Y[:, j], out=t)
+        t *= t
+        d2 += t
+    d2 *= -kern.gamma
+    return np.exp(d2, out=d2)
 
 
 def sample_tau(kern: GaussianKernel, m: int, rng: np.random.Generator) -> np.ndarray:

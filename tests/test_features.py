@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from optrf.features import (
     parse_feature_set,
     sample_tau,
 )
+from optrf.tasks import gen_inputs, make_subgaussian_task
 
 
 # --- spectral measure: quadrature oracle ------------------------------------
@@ -96,6 +98,65 @@ def test_gram_rectangular_matches_eval():
     K = gram(kern, X, Y)
     assert K.shape == (6, 4)
     assert K[2, 3] == pytest.approx(float(eval_kernel(kern, X[2], Y[3])))
+
+
+def _broadcast_sq_dist(X, Y):
+    """Squared distances through one (n, a, D) temporary and numpy's sum."""
+    return ((X[:, None, :] - Y[None, :, :]) ** 2).sum(axis=-1)
+
+
+def _broadcast_gram(kern, X, Y):
+    return np.exp(-kern.gamma * _broadcast_sq_dist(X, Y))
+
+
+def _gram_inputs(d):
+    rng = np.random.default_rng(10 + d)
+    X, Y = rng.normal(size=(50, d)), rng.normal(size=(30, d))
+    X[7] = X[3]  # repeated rows, within X and across X and Y
+    Y[5] = X[3]
+    return GaussianKernel(gamma=0.8 / d, dim=d), X, Y
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 7])
+def test_gram_is_the_broadcast_formula_to_the_bit(d):
+    # below 8 terms numpy's sum adds left to right, as gram's loop does
+    kern, X, Y = _gram_inputs(d)
+    assert np.array_equal(gram(kern, X, Y), _broadcast_gram(kern, X, Y))
+    K = gram(kern, X)
+    assert np.array_equal(K, _broadcast_gram(kern, X, X))
+    assert np.array_equal(K, K.T) and np.all(np.diag(K) == 1.0)
+    assert K[3, 7] == 1.0 and gram(kern, X, Y)[3, 5] == 1.0
+
+
+@pytest.mark.parametrize("d", [8, 12])
+def test_gram_from_eight_coordinates_differs_only_by_rounding(d):
+    # numpy sums 8 or more terms pairwise.  Each order's squared distance
+    # lies within (d - 1) eps/2 of the exact one, so the two d2 differ by at
+    # most (d - 1) eps d2, which exp turns into a relative change of gamma
+    # times that; 4 eps more covers exp's own rounding of each.
+    kern, X, Y = _gram_inputs(d)
+    eps = np.finfo(float).eps
+    for Z in (Y, X):
+        want = _broadcast_gram(kern, X, Z)
+        d2 = _broadcast_sq_dist(X, Z)
+        bound = want * (kern.gamma * d2 * (d - 1) * eps + 4 * eps)
+        assert np.all(np.abs(gram(kern, X, Z) - want) <= bound)
+    K = gram(kern, X)
+    assert np.array_equal(K, K.T) and np.all(np.diag(K) == 1.0)
+
+
+def test_gram_holds_no_coordinate_axis():
+    # two (n, a) buffers: the squared distance and one coordinate's term
+    task = make_subgaussian_task()
+    X = gen_inputs(task, 100_000, np.random.default_rng(0))
+    budget = 2.2 * X.shape[0] * task.anchors.shape[0] * 8
+    tracemalloc.start()
+    try:
+        gram(task.kern, X, task.anchors)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budget
 
 
 def test_kernel_validation():

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from importlib.machinery import EXTENSION_SUFFIXES, ModuleSpec
 from itertools import islice
 from pathlib import Path
@@ -118,6 +119,42 @@ def test_predict_agrees_with_the_feature_matrix(m, d):
     assert np.max(np.abs(got - feature_matrix(fs, X) @ alpha)) <= 1e-13 * r_sum
     with pytest.raises(ConfigError, match="dimension"):
         predict(clf, rng.normal(size=(5, d + 1)))
+
+
+def _one_shot_predict(clf, X):
+    """predict's amplitude-phase formula over all rows at once."""
+    alpha = clf.alpha
+    ang = -2.0 * np.pi * (X @ clf.feature_set.freqs.T)
+    ang -= np.arctan2(alpha[1::2], alpha[0::2])
+    return np.cos(ang) @ np.hypot(alpha[0::2], alpha[1::2])
+
+
+@pytest.mark.parametrize("m", [1, 32, 256])
+def test_predict_in_pieces_is_the_one_shot_formula_to_the_bit(m):
+    # pieces of 1024 rows; n = 1025 ends on a lone row
+    fs = make_features(m, 2, seed=m, scale=1.0)
+    rng = np.random.default_rng(m)
+    clf = Classifier(feature_set=fs, alpha=rng.normal(size=2 * m))
+    for n in (0, 1, 1023, 1024, 1025, 10_000):
+        X = rng.normal(size=(n, 2))
+        got = predict(clf, X)
+        assert got.shape == (n,)
+        assert np.array_equal(got, _one_shot_predict(clf, X)), n
+
+
+def test_predict_holds_one_piece_of_angles():
+    # one 1024 x 256 buffer is 2.1 MB; all 10 000 rows at once are 20.5 MB
+    fs = make_features(256, 2, seed=1, scale=1.0)
+    clf = Classifier(feature_set=fs,
+                     alpha=np.random.default_rng(2).normal(size=512))
+    X = np.random.default_rng(3).normal(size=(10_000, 2))
+    tracemalloc.start()
+    try:
+        predict(clf, X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6
 
 
 def test_classifier_rejects_wrong_length():

@@ -190,6 +190,13 @@ def test_f_star_single_anchor_by_hand():
     assert np.allclose(f_star(task, X), want)
 
 
+@pytest.mark.parametrize("cols", [1, 3])
+def test_f_star_rejects_inputs_of_another_dimension(sphere_task, cols):
+    with pytest.raises(ConfigError, match=f"X has dimension {cols}, the "
+                                          f"kernel has dimension 2"):
+        f_star(sphere_task, np.zeros((4, cols)))
+
+
 def test_f_norm_two_anchor_oracle():
     # ||f||^2 = c1^2 + c2^2 + 2 c1 c2 exp(-gamma d^2)
     gamma, d, c1, c2 = 0.7, 1.3, 0.8, -0.5
