@@ -29,7 +29,6 @@ from .leverage import (
     SpectralModel,
     build_spectral_model,
     degree_of_freedom,
-    expected_acceptance,
     leverage_score,
     q_max_bound,
     sample_conventional,

@@ -29,7 +29,6 @@ from .fileio import (append_csv_row, atomic_write, csv_is_new, fmt, lines,
                      load, located, number)
 from .leverage import (
     build_spectral_model,
-    expected_acceptance,
     sample_conventional,
     sample_optimized_grid,
     sample_optimized_rejection,
@@ -152,8 +151,8 @@ OPTIONS = {
     "kind": Opt(_parse_choice("sphere", "subgaussian"),
                 "reference task family: sphere | subgaussian", "sphere"),
     "delta": Opt(_parse_interval("(0, 1)"),
-                 "label margin delta (0 < delta < 1)", 0.5),
-    "gamma": Opt(_parse_positive, "kernel width gamma (float > 0)", 1.0),
+                 "label margin delta (0 < delta < 1; default: family's)"),
+    "gamma": Opt(_parse_positive, "kernel width gamma (float > 0)"),
     "name": Opt(str, "task name recorded in result rows, without whitespace "
                      "or commas (default: family name)"),
     "mode": Opt(_parse_choice("conventional", "optimized"),
@@ -292,10 +291,8 @@ def _check_dim(path, fs, task):
 def _cmd_gen_task(v):
     _check_out(v["out"], v["force"])
     make = make_sphere_task if v["kind"] == "sphere" else make_subgaussian_task
-    kwargs = {"delta": v["delta"], "gamma": v["gamma"]}
-    if v["name"]:
-        kwargs["name"] = v["name"]
-    task = make(**kwargs)
+    # an unset option is None; a set delta or gamma is positive
+    task = make(**{k: v[k] for k in ("delta", "gamma", "name") if v[k]})
     lo, hi = certify_task(task)
     atomic_write(v["out"], format_task(task), force=True)
     bayes = bayes_error_estimate(task, np.random.default_rng(v["seed"]))
@@ -316,6 +313,7 @@ def _cmd_sample_features(v):
     _check_out(v["out"], v["force"])
     if v["diagnostics"]:
         _check_out(v["diagnostics"], header=_DIAGNOSTICS_HEADER)
+    cfg = _cell_config(v)
     task = load_task(v["task"])
     rng_unlab, rng_feat = (
         np.random.default_rng(s)
@@ -325,7 +323,7 @@ def _cmd_sample_features(v):
     if v["mode"] == "conventional":
         fs, expect = sample_conventional(task.kern, v["m"], rng_feat), 1.0
     else:
-        lam = resolve_lambda(task, _cell_config(v))
+        lam = resolve_lambda(task, cfg)
         Xu = gen_inputs(task, v["n_unlabeled"], rng_unlab)
         if v["store_delta"] is not None:
             lo, hi = task.dist.bounding_box()
@@ -333,13 +331,13 @@ def _cmd_sample_features(v):
             Xu = tree.expanded_points()
         model = build_spectral_model(Xu, task.kern, lam)
         if v["sampler"] == "grid":
-            fs, _ = sample_optimized_grid(
+            fs, diag = sample_optimized_grid(
                 model, v["m"], rng_feat, cells_per_coord=v["grid_cells"])
         else:
-            fs, _ = sample_optimized_rejection(
+            fs, diag = sample_optimized_rejection(
                 model, v["m"], rng_feat, accept_floor=v["accept_floor"],
                 bottom_raised=v["bottom_raised"])
-        expect = expected_acceptance(model)
+        expect = diag.expected_acceptance
     elapsed_ms = (time.perf_counter() - start) * 1e3
     atomic_write(v["out"], format_feature_set(fs), force=True)
     if v["diagnostics"]:

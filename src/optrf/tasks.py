@@ -15,7 +15,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import astuple, dataclass, fields, replace
-from functools import partial
 
 import numpy as np
 
@@ -38,9 +37,11 @@ from .sgd import (
     train_arrays,
 )
 
+_BAYES_SAMPLES = 100_000  # inputs behind bayes_error_estimate
 _CERTIFY_PROBES = 10_000
 _CERTIFY_SEED = 271828  # fixed probe stream for load-time recertification
 _CHUNK = 1024           # rows per draw of a labeled stream
+_MIN_KEEP = 0.01        # least chance a SubgaussianDist draw lands in its box
 _RESCALE_CAP = 0.999    # headroom so unprobed support points stay inside [-1, 1]
 _SCHEDULE = (1e-6, 1.0)  # theorem_lambda's (p, c_lambda), the p -> 0 limit
 
@@ -96,7 +97,8 @@ class SubgaussianDist:
     Each sample is a cluster center plus N(0, sigma^2 I) noise, redrawn
     until every coordinate offset lies within ``trunc``, so the support is
     the union of axis-aligned boxes of half-width ``trunc`` around the
-    centers.
+    centers.  A draw is kept with probability erf(trunc / (sigma sqrt 2))^D,
+    which must be at least _MIN_KEEP.
     """
 
     centers: np.ndarray
@@ -117,6 +119,10 @@ class SubgaussianDist:
             raise ConfigError("weights must be positive and sum to one")
         object.__setattr__(self, "centers", centers)
         object.__setattr__(self, "weights", weights)
+        keep = math.erf(self.trunc / (self.sigma * math.sqrt(2.0))) ** self.dim
+        if keep < _MIN_KEEP:
+            raise ConfigError(f"trunc={self.trunc!r} with sigma={self.sigma!r} "
+                              f"keeps {keep:.3g} of draws, under {_MIN_KEEP}")
 
     @property
     def dim(self) -> int:
@@ -227,21 +233,17 @@ def certify_task(task: SyntheticTask) -> tuple[float, float]:
 def fit_rescale(task: SyntheticTask) -> SyntheticTask:
     """Rescale the coefficients so the probed |f*| tops out just under one.
 
-    Bisects for the largest admissible rescale factor and rejects (raises)
-    when no factor can reach the margin delta.
+    The factor is the largest float whose product with g_max rounds to at
+    most _RESCALE_CAP; it lies at most an ulp above the quotient.  Rejects
+    (raises) when no factor can reach the margin delta.
     """
     g = _probe_abs_f(task)
     g_max = float(g.max())
     if g_max == 0.0:
         raise CertificationError("|f*| vanishes on the probe; nothing to rescale")
-    lo, hi = 0.0, 2.0 * _RESCALE_CAP / g_max
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if mid * g_max <= _RESCALE_CAP:
-            lo = mid
-        else:
-            hi = mid
-    rescale = lo
+    rescale = math.nextafter(_RESCALE_CAP / g_max, math.inf)
+    while rescale * g_max > _RESCALE_CAP:
+        rescale = math.nextafter(rescale, 0.0)
     if rescale * float(g.min()) < task.delta:
         raise CertificationError(
             f"no rescale reaches margin {task.delta}: probe ratio "
@@ -250,10 +252,10 @@ def fit_rescale(task: SyntheticTask) -> SyntheticTask:
     return replace(task, coeffs=task.coeffs * rescale)
 
 
-def bayes_error_estimate(task: SyntheticTask, rng: np.random.Generator,
-                         n: int = 100_000) -> float:
+def bayes_error_estimate(task: SyntheticTask, rng: np.random.Generator) -> float:
     """Monte Carlo estimate of the Bayes error E[(1 - |f*|) / 2]."""
-    return float(((1.0 - np.abs(f_star(task, gen_inputs(task, n, rng)))) / 2).mean())
+    X = gen_inputs(task, _BAYES_SAMPLES, rng)
+    return float(((1.0 - np.abs(f_star(task, X))) / 2).mean())
 
 
 # --- reference tasks -------------------------------------------------------
@@ -442,6 +444,8 @@ class CellConfig:
                               f"{self.sampler!r}")
         if self.n_unlabeled < 1 or self.n_test < 1:
             raise ConfigError("n_unlabeled and n_test must be >= 1")
+        if self.sampler == "grid" and self.bottom_raised:
+            raise ConfigError("bottom_raised needs sampler='rejection'")
 
 
 def resolve_lambda(task: SyntheticTask, cfg: CellConfig) -> float:
@@ -637,7 +641,7 @@ _DIST_HEADERS = {
 }
 
 
-def parse_task(text: str, certify: bool = True) -> SyntheticTask:
+def parse_task(text: str) -> SyntheticTask:
     rows = lines(text, least=3)
     head = parse_header(rows[0], "task", _TASK_HEADER)
     if head["kind"] not in _DIST_HEADERS:
@@ -656,14 +660,13 @@ def parse_task(text: str, certify: bool = True) -> SyntheticTask:
                           "a sphere task)")
     dist = (SphereDist(dim=dim, **dist_h) if head["kind"] == "sphere" else
             SubgaussianDist(centers=np.array(centers), **dist_h))
-    task = SyntheticTask(name=head["name"],
+    return SyntheticTask(name=head["name"],
                          kern=GaussianKernel(gamma=head["gamma"], dim=dim),
                          dist=dist, anchors=anchors, coeffs=coeffs,
                          delta=head["delta"])
-    if certify:
-        certify_task(task)
+
+
+def load_task(path) -> SyntheticTask:
+    task = load(path, parse_task)
+    certify_task(task)
     return task
-
-
-def load_task(path, certify: bool = True) -> SyntheticTask:
-    return load(path, partial(parse_task, certify=certify))

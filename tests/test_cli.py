@@ -23,7 +23,8 @@ from optrf.cli import (
 from optrf.features import load_feature_set
 from optrf.fileio import number
 from optrf.sgd import load_classifier, regularized_empirical_loss
-from optrf.tasks import (CellConfig, gen_inputs, load_task, parse_records_csv,
+from optrf.tasks import (CellConfig, format_task, gen_inputs, load_task,
+                         make_subgaussian_task, parse_records_csv,
                          sample_label)
 
 
@@ -510,6 +511,15 @@ def _eval_classifier(features, *flags, train=_TRAIN):
     return case
 
 
+def _tight_trunc(ws, d):
+    # at trunc = 0.02 (sigma = 0.5, D = 2) a draw lands in its box with
+    # probability 1e-3, under the floor
+    text = format_task(make_subgaussian_task())
+    (d / "task.txt").write_text(text.replace(" trunc=0.5 ", " trunc=0.02 "))
+    return ["sample-features", "--task", d / "task.txt", "--m", 4,
+            "--n-unlabeled", 20]
+
+
 def _config_m_x(ws, d):
     (d / "bad.cfg").write_text("m = x\n")
     return ["sample-features", "--task", ws / "task.txt", "--config",
@@ -545,6 +555,14 @@ _DEFECTS = {
     # train passes --lam 0.02; the features were drawn for lambda=0.0144
     "train-lam-contradicts-optimized-features":
         _train_with_features(lambda t: _OPTIMIZED),
+    "task-trunc-keeps-almost-no-draw": _tight_trunc,
+    "grid-sampler-bottom-raised": lambda ws, d: [
+        "sample-features", "--task", ws / "task.txt", "--m", 4,
+        "--n-unlabeled", 20, "--sampler", "grid", "--bottom-raised", "true"],
+    "sweep-grid-sampler-bottom-raised": lambda ws, d: [
+        "sweep-m", "--task", ws / "task.txt", "--m-grid", "2", "--n", 10,
+        "--trials", 1, "--n-test", 50, "--sampler", "grid",
+        "--bottom-raised", "true"],
     "accept-floor-above-one": lambda ws, d: [
         "sample-features", "--task", ws / "task.txt", "--accept-floor", 2],
     "delta-above-one": lambda ws, d: ["gen-task", "--delta", 1.5],

@@ -52,9 +52,11 @@ def tasks(draw):
         dim = draw(st.integers(1, 3))
         n_center = draw(st.integers(1, 3))
         w = draw(arrays((n_center,), positive))
+        # trunc >= 2 sigma keeps a draw in its box with probability > 0.86
+        sigma = draw(positive)
+        trunc = sigma * draw(st.floats(2.0, 1e3))
         dist = SubgaussianDist(centers=draw(arrays((n_center, dim))),
-                               sigma=draw(positive), trunc=draw(positive),
-                               weights=w / w.sum())
+                               sigma=sigma, trunc=trunc, weights=w / w.sum())
     return SyntheticTask(
         name=draw(names), kern=GaussianKernel(gamma=draw(positive), dim=dim),
         dist=dist, anchors=draw(arrays((n_anchor, dim))),
@@ -98,8 +100,7 @@ records = st.builds(
 
 # (strategy of valid objects, format, parse, type of a parsed object)
 FORMATS = {
-    "task": (tasks(), format_task,
-             lambda text: parse_task(text, certify=False), SyntheticTask),
+    "task": (tasks(), format_task, parse_task, SyntheticTask),
     "feature set": (feature_sets(), format_feature_set, parse_feature_set,
                     FeatureSet),
     "classifier": (classifiers(), format_classifier, parse_classifier,

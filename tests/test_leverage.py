@@ -19,7 +19,6 @@ from optrf.leverage import (
     build_spectral_model,
     degree_of_freedom,
     dof_from_trace,
-    expected_acceptance,
     leverage_score,
     q_max_bound,
     sample_conventional,
@@ -89,7 +88,8 @@ def test_single_point_dof_and_leverage():
     q = leverage_score(model, V)
     assert np.allclose(q, 1.0, atol=1e-12)
     assert q_max_bound(model) == pytest.approx(1.5 / 0.5)
-    assert expected_acceptance(model) == pytest.approx(0.5 / 1.5)
+    _, diag = sample_optimized_rejection(model, 1, np.random.default_rng(13))
+    assert diag.expected_acceptance == pytest.approx(0.5 / 1.5)
 
 
 def test_unnormalized_leverage_mean_is_dof(line_model):
@@ -144,7 +144,7 @@ def test_rejection_sampler_output(line_model):
     assert diag.proposals >= 500
     # acceptance concentrates near lambda * d(lambda)
     assert diag.acceptance_rate == pytest.approx(
-        expected_acceptance(line_model), rel=0.2
+        line_model.lam * degree_of_freedom(line_model), rel=0.2
     )
     # the feature set carries the rate into its file
     assert fs.acceptance_rate == diag.acceptance_rate == 500 / diag.proposals
@@ -164,12 +164,12 @@ def test_rejection_sampler_abort(line_model):
             10**9,
             np.random.default_rng(19),
             accept_floor=0.9999,
-            trial_budget=5_000,
         )
     err = info.value
-    assert err.proposals >= 5_000
+    assert err.proposals >= leverage._TRIAL_BUDGET
     assert err.accepted < 10**9
-    assert err.expected_acceptance == pytest.approx(expected_acceptance(line_model))
+    assert err.expected_acceptance == pytest.approx(
+        line_model.lam * degree_of_freedom(line_model))
 
 
 def test_bottom_raised_rejection(line_model):
@@ -180,7 +180,7 @@ def test_bottom_raised_rejection(line_model):
     assert np.all(fs.leverage_values >= 0.5)
     # raised envelope (env + 1) / 2 with mixture mean 1 gives rate
     # 2 a / (1 + a) where a is the plain acceptance lam * d(lam)
-    a = expected_acceptance(line_model)
+    a = line_model.lam * degree_of_freedom(line_model)
     want = 2.0 * a / (1.0 + a)
     assert diag.expected_acceptance == pytest.approx(want)
     assert diag.acceptance_rate == pytest.approx(want, rel=0.1)
