@@ -8,7 +8,8 @@ file.  Each flag is defined once in ``OPTIONS``; options that are
 the classifier was made from its file.  Exit codes: 0 on success, 2 for
 configuration errors (a bad flag or config value, or a malformed input
 file; the message names the flag or line), 3 when a task fails its margin
-certificate, 4 when the feature sampler aborts, 5 for I/O problems.
+certificate, 4 when the rejection sampler refuses an acceptance rate
+below ``--accept-floor``, 5 for I/O problems.
 """
 
 from __future__ import annotations
@@ -180,8 +181,10 @@ OPTIONS = {
     "n_test": Opt(_parse_int(1), "held-out test points (int >= 1)"),
     "sampler": Opt(_parse_choice("rejection", "grid"),
                    "optimized sampler: rejection | grid (grid needs D <= 2)"),
-    "accept_floor": Opt(_parse_interval("(0, 1]"), "abort threshold on the "
-                        "rejection acceptance rate (0 < f <= 1)"),
+    "accept_floor": Opt(_parse_interval("(0, 1]"), "the rejection sampler "
+                        "refuses up front when its acceptance rate "
+                        "1/envelope, lam*d(lam) or 2 lam d/(1 + lam d) "
+                        "bottom-raised, is below this (0 < f <= 1)"),
     "bottom_raised": Opt(_parse_bool,
                          "sample from (q+1)/2 instead of q (true/false)"),
     "grid_cells": Opt(_parse_int(2),
@@ -246,7 +249,8 @@ def _read_config_file(path, opts) -> dict:
 
 
 def _resolve(args) -> dict:
-    """Merge defaults, config file, and explicit flags, in that order."""
+    """Merge defaults, config file, and explicit flags, in that order;
+    refuse two output flags that name one file."""
     opts = {n: OPTIONS[n] for n in args.names}
     vals = {n: _CELL_DEFAULTS.get(n, o.default) for n, o in opts.items()}
     if args.config:
@@ -262,6 +266,14 @@ def _resolve(args) -> dict:
     if args.out is None:
         raise ConfigError("--out is required")
     vals["out"], vals["force"] = args.out, args.force
+    seen = {}
+    for name in ("out", "trace", "diagnostics"):
+        if vals.get(name):
+            real = os.path.realpath(vals[name])
+            if real in seen:
+                raise ConfigError(f"--{seen[real]} and --{name} name the "
+                                  f"same file {vals[name]}")
+            seen[real] = name
     return vals
 
 
@@ -294,7 +306,7 @@ def _cmd_gen_task(v):
     # an unset option is None; a set delta or gamma is positive
     task = make(**{k: v[k] for k in ("delta", "gamma", "name") if v[k]})
     lo, hi = certify_task(task)
-    atomic_write(v["out"], format_task(task), force=True)
+    atomic_write(v["out"], format_task(task))
     bayes = bayes_error_estimate(task, np.random.default_rng(v["seed"]))
     print(f"task {task.name}: |f*| in [{lo:.6f}, {hi:.6f}] "
           f"(margin {task.delta}), f_norm={task.f_norm:.6f}, "
@@ -339,7 +351,7 @@ def _cmd_sample_features(v):
                 bottom_raised=v["bottom_raised"])
         expect = diag.expected_acceptance
     elapsed_ms = (time.perf_counter() - start) * 1e3
-    atomic_write(v["out"], format_feature_set(fs), force=True)
+    atomic_write(v["out"], format_feature_set(fs))
     if v["diagnostics"]:
         append_csv_row(v["diagnostics"], _DIAGNOSTICS_HEADER, ",".join([
             task.name, v["mode"], str(v["m"]),
@@ -377,9 +389,9 @@ def _cmd_train(v):
         print(f"warning: q_min={cfg.q_min!r} exceeds the smallest sampled "
               f"density ratio {trace.q_floor!r}; the convergence guarantee "
               f"assumes q_min <= q(v) for every feature", file=sys.stderr)
-    atomic_write(v["out"], format_classifier(clf), force=True)
+    atomic_write(v["out"], format_classifier(clf))
     if v["trace"]:
-        atomic_write(v["trace"], trace.to_csv(), force=True)
+        atomic_write(v["trace"], trace.to_csv())
     print(f"wrote {v['out']} (N={v['n']}, lambda={lam!r}, "
           f"final |alpha|={float(np.linalg.norm(clf.alpha)):.6f})")
     return EXIT_OK
@@ -415,7 +427,7 @@ def _sweep(v, sweep, *grid):
     _check_out(v["out"], v["force"])
     records = sweep(load_task(v["task"]), *grid, v["trials"], _cell_config(v),
                     base_seed=v["seed"], jobs=v["jobs"])
-    atomic_write(v["out"], records_to_csv(records), force=True)
+    atomic_write(v["out"], records_to_csv(records))
     print(f"wrote {v['out']} ({len(records)} records)")
     return EXIT_OK
 
@@ -442,8 +454,8 @@ def _cmd_spectrum(v):
     dof_lines = ["lambda,dof,q_max_bound,expected_acceptance"] + [
         ",".join(fmt(x) for x in row) for row in rows
     ]
-    atomic_write(spec_path, "\n".join(spec_lines) + "\n", force=True)
-    atomic_write(dof_path, "\n".join(dof_lines) + "\n", force=True)
+    atomic_write(spec_path, "\n".join(spec_lines) + "\n")
+    atomic_write(dof_path, "\n".join(dof_lines) + "\n")
     print(f"wrote {spec_path} and {dof_path}")
     return EXIT_OK
 

@@ -10,13 +10,8 @@ class CertificationError(RuntimeError):
 
 
 class SamplerAbort(RuntimeError):
-    """Rejection sampling aborted because the acceptance rate fell below the floor."""
-
-    def __init__(self, message, proposals=0, accepted=0, expected_acceptance=None):
-        super().__init__(message)
-        self.proposals = proposals
-        self.accepted = accepted
-        self.expected_acceptance = expected_acceptance
+    """The rejection sampler refused up front: its acceptance rate
+    1/envelope lies below the floor."""
 
 
 class OutOfBoxError(ValueError):

@@ -110,15 +110,15 @@ def load(path, parse):
         return parse(text)
 
 
-def atomic_write(path, text: str, force: bool = False) -> None:
-    """Write ``text`` to ``path`` via a temp file in the same directory.
+def atomic_write(path, text: str) -> None:
+    """Write ``text`` to ``path`` via a temp file in the same directory,
+    replacing any file there whole.
 
     The rename is atomic on POSIX, so a crashed run never leaves a partial
-    file behind.  Refuses to replace an existing file unless ``force``.
+    file behind.  Whether an existing file may be replaced is the caller's
+    decision.
     """
     path = os.fspath(path)
-    if not force and os.path.exists(path):
-        raise FileExistsError(f"{path} exists; pass force to overwrite")
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:

@@ -63,8 +63,6 @@ _TRUNCATION_RTOL = 1e-13
 # chunk holds a few (rows x n) float64 trig tables
 _BATCH = 1024
 
-_TRIAL_BUDGET = 100_000  # proposals before the rejection sampler may abort
-
 
 @dataclass(frozen=True)
 class SpectralModel:
@@ -219,8 +217,11 @@ class SamplerDiagnostics:
 
     proposals: int
     accepted: int
-    acceptance_rate: float
     expected_acceptance: float
+
+    @property
+    def acceptance_rate(self) -> float:
+        return self.accepted / self.proposals
 
 
 def sample_conventional(kern: GaussianKernel, m: int,
@@ -244,8 +245,10 @@ def sample_optimized_rejection(
     weaker reweighting; the stored leverage values always describe the
     density actually sampled from.
 
-    Raises SamplerAbort once at least _TRIAL_BUDGET proposals have been
-    spent and the observed acceptance rate sits below ``accept_floor``.
+    Every proposal is accepted with probability 1/envelope, since q
+    averages to one over tau: lam * d(lam), or 2 lam d / (1 + lam d)
+    bottom-raised.  Raises SamplerAbort before the first draw when that
+    rate is below ``accept_floor``.
     """
     if m < 1:
         raise ConfigError(f"m must be >= 1, got {m}")
@@ -255,6 +258,9 @@ def sample_optimized_rejection(
     if bottom_raised:
         env = env / 2.0 + 0.5
     exp_rate = 1.0 / env
+    if exp_rate < accept_floor:
+        raise SamplerAbort(f"acceptance rate {exp_rate:.3e} = 1/envelope is "
+                           f"below the floor {accept_floor:.3e}")
     freqs = []
     qs = []
     proposals = 0
@@ -281,23 +287,11 @@ def sample_optimized_rejection(
         freqs.append(V[hits])
         qs.append(q[hits])
         accepted += hits.size
-        if accepted < m and proposals >= _TRIAL_BUDGET:
-            rate = accepted / proposals
-            if rate < accept_floor:
-                raise SamplerAbort(
-                    f"acceptance rate {rate:.3e} below floor {accept_floor:.3e} "
-                    f"after {proposals} proposals (expected rate "
-                    f"{exp_rate:.3e} = lam * d(lam) adjusted for envelope)",
-                    proposals=proposals,
-                    accepted=accepted,
-                    expected_acceptance=exp_rate,
-                )
+    diag = SamplerDiagnostics(proposals=proposals, accepted=accepted,
+                              expected_acceptance=exp_rate)
     fs = FeatureSet(freqs=np.vstack(freqs), mode="optimized",
                     leverage_values=np.concatenate(qs), lam=model.lam,
-                    acceptance_rate=accepted / proposals)
-    diag = SamplerDiagnostics(proposals=proposals, accepted=accepted,
-                              acceptance_rate=fs.acceptance_rate,
-                              expected_acceptance=exp_rate)
+                    acceptance_rate=diag.acceptance_rate)
     return fs, diag
 
 
@@ -339,12 +333,10 @@ class GridTabulation:
     edges   : per-coordinate cell edge arrays (length cells+1 each).
     probs   : flattened cell probabilities (C-order over coordinates),
               normalized to sum to one.
-    covered : tau mass of the grid box before normalization.
     """
 
     edges: list[np.ndarray]
     probs: np.ndarray
-    covered: float
 
 
 def tabulate_optimized_density(model: SpectralModel,
@@ -363,7 +355,6 @@ def tabulate_optimized_density(model: SpectralModel,
         raise ConfigError("grid tabulation only supports dimension <= 2")
     sigma = model.kern.tau_sigma
     half = _HALF_WIDTH_SIGMAS * sigma
-    covered = (1.0 - 2.0 * _normal_cdf(-_HALF_WIDTH_SIGMAS)) ** dim
     e = np.linspace(-half, half, cells_per_coord + 1)
     # linspace mirrors its two halves only to an ulp
     e = 0.5 * (e - e[::-1])
@@ -372,7 +363,7 @@ def tabulate_optimized_density(model: SpectralModel,
     tau_mass = np.prod(np.meshgrid(*[masses] * dim, indexing="ij"), axis=0)
     probs = _grid_score(model, centers) * tau_mass.ravel()
     probs = probs / probs.sum()
-    return GridTabulation(edges=[e] * dim, probs=probs, covered=covered)
+    return GridTabulation(edges=[e] * dim, probs=probs)
 
 
 def _grid_score(model: SpectralModel, centers: np.ndarray) -> np.ndarray:
@@ -436,6 +427,5 @@ def sample_optimized_grid(
     qs = leverage_score(model, freqs)
     fs = FeatureSet(freqs=freqs, mode="optimized", leverage_values=qs,
                     lam=model.lam)
-    diag = SamplerDiagnostics(proposals=m, accepted=m, acceptance_rate=1.0,
-                              expected_acceptance=1.0)
+    diag = SamplerDiagnostics(proposals=m, accepted=m, expected_acceptance=1.0)
     return fs, diag

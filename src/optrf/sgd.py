@@ -89,6 +89,7 @@ _BLOCK = 64            # SGD steps per triangular solve
 _BLOCK_WIDTH = 128     # widest feature row (2M) trained in blocks
 _SCALE_FLOOR = 1e-30   # least decay product within one block
 _CALM = 16             # steps after a projection that run one at a time
+_SCHEDULE_P = 1e-6     # theorem_lambda's exponent p, near the p -> 0 limit
 
 
 def _fblas():
@@ -552,21 +553,20 @@ def ridge_oracle(fs: FeatureSet, X, y, cfg: TrainConfig) -> RidgeSolution:
     return RidgeSolution(alpha=alpha, alpha_ball=project_ball(alpha, cfg.radius))
 
 
-def theorem_lambda(delta: float, f_norm: float, q_min: float, p: float,
-                   c_lambda: float = 1.0) -> float:
+def theorem_lambda(delta: float, f_norm: float, q_min: float) -> float:
     """Ridge level of the guarantee's schedule.
 
-    lam = c_lambda (delta^2 / f_norm^2) (delta / (f_norm sqrt(q_min)))^(-2p/(1+p));
-    p -> 0 collapses the correction factor to one.
+    lam = (delta^2 / f_norm^2) (delta / (f_norm sqrt(q_min)))^(-2p/(1+p))
+    at p = _SCHEDULE_P, near the p -> 0 limit where the correction factor
+    is one.
     """
     if not (delta > 0 and f_norm > 0):
         raise ConfigError("delta and f_norm must be positive")
     if not (0 < q_min <= 1):
         raise ConfigError(f"q_min must lie in (0, 1], got {q_min}")
-    if not (0 <= p < 1):
-        raise ConfigError(f"p must lie in [0, 1), got {p}")
+    p = _SCHEDULE_P
     ratio = delta / (f_norm * math.sqrt(q_min))
-    return c_lambda * (delta**2 / f_norm**2) * ratio ** (-2.0 * p / (1.0 + p))
+    return (delta**2 / f_norm**2) * ratio ** (-2.0 * p / (1.0 + p))
 
 
 # --- classifier file format ------------------------------------------------

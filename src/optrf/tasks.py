@@ -43,7 +43,6 @@ _CERTIFY_SEED = 271828  # fixed probe stream for load-time recertification
 _CHUNK = 1024           # rows per draw of a labeled stream
 _MIN_KEEP = 0.01        # least chance a SubgaussianDist draw lands in its box
 _RESCALE_CAP = 0.999    # headroom so unprobed support points stay inside [-1, 1]
-_SCHEDULE = (1e-6, 1.0)  # theorem_lambda's (p, c_lambda), the p -> 0 limit
 
 
 @dataclass(frozen=True)
@@ -451,7 +450,7 @@ class CellConfig:
 def resolve_lambda(task: SyntheticTask, cfg: CellConfig) -> float:
     if cfg.lam is not None:
         return cfg.lam
-    return theorem_lambda(task.delta, task.f_norm, cfg.q_min, *_SCHEDULE)
+    return theorem_lambda(task.delta, task.f_norm, cfg.q_min)
 
 
 def _labeled_chunks(task: SyntheticTask, n: int, rng: np.random.Generator):

@@ -580,6 +580,11 @@ _DEFECTS = {
         "spectrum", "--task", ws / "task.txt", "--lam-grid", "0.1,0"],
     "task-name-with-space": lambda ws, d: ["gen-task", "--name", "a b"],
     "task-name-with-comma": lambda ws, d: ["gen-task", "--name", "a,b"],
+    # two outputs of one command on one file, spelled differently
+    "train-trace-is-out": lambda ws, d: _train_with_features(
+        lambda t: t, "--trace", f"{d}/./out.txt")(ws, d),
+    "sample-diagnostics-is-out": lambda ws, d: _sample_with_task(
+        lambda t: t)(ws, d) + ["--diagnostics", f"{d}/./out.txt"],
 }
 
 

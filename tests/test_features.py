@@ -240,12 +240,14 @@ def test_feature_file_round_trip_is_byte_identical(tmp_path, optimized):
 
 
 def test_feature_file_overwrite_control(tmp_path):
-    fs = _random_feature_set(np.random.default_rng(8), False)
+    # the CLI decides about --force before any work; the write itself
+    # replaces an existing file whole and leaves no temp file behind
     path = tmp_path / "f.txt"
-    atomic_write(path, format_feature_set(fs), force=False)
-    with pytest.raises(FileExistsError):
-        atomic_write(path, format_feature_set(fs), force=False)
-    atomic_write(path, format_feature_set(fs), force=True)
+    path.write_text("x" * 100_000)
+    fs = _random_feature_set(np.random.default_rng(8), False)
+    atomic_write(path, format_feature_set(fs))
+    assert path.read_text() == format_feature_set(fs)
+    assert [p.name for p in tmp_path.iterdir()] == ["f.txt"]
 
 
 def test_feature_file_parse_errors():

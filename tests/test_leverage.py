@@ -158,18 +158,76 @@ def test_rejection_sampler_deterministic(line_model):
 
 
 def test_rejection_sampler_abort(line_model):
-    with pytest.raises(SamplerAbort) as info:
-        sample_optimized_rejection(
-            line_model,
-            10**9,
-            np.random.default_rng(19),
-            accept_floor=0.9999,
-        )
-    err = info.value
-    assert err.proposals >= leverage._TRIAL_BUDGET
-    assert err.accepted < 10**9
-    assert err.expected_acceptance == pytest.approx(
-        line_model.lam * degree_of_freedom(line_model))
+    env = q_max_bound(line_model)
+    for raised in (False, True):
+        # 1/envelope, computed as the sampler computes it
+        rate = 1.0 / (env / 2.0 + 0.5 if raised else env)
+        rng = np.random.default_rng(19)
+        state = rng.bit_generator.state
+        with pytest.raises(SamplerAbort) as info:
+            sample_optimized_rejection(line_model, 10**9, rng,
+                                       accept_floor=0.9999,
+                                       bottom_raised=raised)
+        # refused before the first draw
+        assert rng.bit_generator.state == state
+        assert f"{rate:.3e}" in str(info.value)
+        assert f"{0.9999:.3e}" in str(info.value)
+        with pytest.raises(SamplerAbort):
+            sample_optimized_rejection(line_model, 1, rng,
+                                       accept_floor=np.nextafter(rate, 1.0),
+                                       bottom_raised=raised)
+        assert rng.bit_generator.state == state
+        # a floor at or just below the rate never aborts
+        for seed in range(5):
+            for floor in (rate, np.nextafter(rate, 0.0)):
+                _, diag = sample_optimized_rejection(
+                    line_model, 20, np.random.default_rng(seed),
+                    accept_floor=floor, bottom_raised=raised)
+                assert diag.accepted == 20
+                assert diag.expected_acceptance == rate
+
+
+# fixed-seed draws recorded before the abort moved ahead of the first
+# proposal: (seed, bottom_raised) -> (proposals, frequencies, q) for m = 4
+# on 100 standard-normal points, D = 2, gamma = 1, lam = 0.0144
+_GOLDEN_DRAWS = {
+    (0, False): (15, [[-0.5233157854936845, -0.049245426219408285],
+                      [0.09264942203153323, 0.2346479490802909],
+                      [-0.1673461263109486, -0.20746109881537567],
+                      [-0.10302450729369714, 0.0495613155995785]],
+                 [2.1138077910969395, 0.7333051595675218, 0.7700640549822402,
+                  0.5159461638862051]),
+    (1, False): (13, [[-0.1085149708850585, 0.13478775402596072],
+                      [0.0018326344924402957, -0.062032448105331234],
+                      [0.29126669156280177, 0.22659258173547442],
+                      [-0.610225953891502, -0.4251773616953981]],
+                 [0.5807417449262626, 0.48326428688996065, 1.1467659488404878,
+                  3.625366303342754]),
+    (0, True): (7, [[0.14414574035766645, 0.02361082175991839],
+                    [0.2935031292250663, 0.21316811095676083],
+                    [-0.14028604201660727, 0.00930161337187375],
+                    [-0.5233157854936845, -0.049245426219408285]],
+                [0.773739556188521, 1.0582365771814184, 0.770598812980012,
+                 1.5569038955484698]),
+    (1, True): (10, [[0.07778377168047448, 0.18492905506120086],
+                     [-0.1085149708850585, 0.13478775402596072],
+                     [0.008940615369470961, -0.06582589616604119],
+                     [-0.17599123660029484, -0.05788859265454342]],
+                [0.8126861523415428, 0.7903708724631313, 0.7426033351200336,
+                 0.7999350517369712]),
+}
+
+
+def test_rejection_sampler_stream_is_pinned():
+    pts = np.random.default_rng(40).normal(size=(100, 2))
+    model = build_spectral_model(pts, KERN2, 0.0144)
+    for (seed, raised), (proposals, freqs, q) in _GOLDEN_DRAWS.items():
+        fs, diag = sample_optimized_rejection(
+            model, 4, np.random.default_rng(seed), bottom_raised=raised)
+        assert (diag.proposals, diag.accepted) == (proposals, 4)
+        # the frequencies are tau draws: equal to the bit
+        assert fs.freqs.tolist() == freqs
+        np.testing.assert_allclose(fs.leverage_values, q, rtol=1e-12, atol=0)
 
 
 def test_bottom_raised_rejection(line_model):
@@ -188,7 +246,8 @@ def test_bottom_raised_rejection(line_model):
 
 def test_grid_tabulation_covers_and_normalizes(line_model):
     tab = tabulate_optimized_density(line_model, cells_per_coord=256)
-    assert tab.covered >= 1 - 1e-6
+    # the box spans +-6 tau standard deviations
+    assert tab.edges[0][-1] == -tab.edges[0][0] == 6.0 * KERN1.tau_sigma
     assert tab.probs.sum() == pytest.approx(1.0)
     assert np.all(tab.probs >= 0)
 
@@ -322,7 +381,6 @@ def test_grid_tabulation_matches_the_scipy_cdf(case, cells, oracle_cases,
     # two upper tails past it, where the CDFs differ by ulps; the masses
     # then agree within 5e-14 relative at 512 cells
     assert np.all(np.abs(tab.probs - ref.probs) <= 1e-13 * ref.probs)
-    assert tab.covered == pytest.approx(ref.covered, rel=1e-15)
     for seed, freqs in enumerate(draws):
         want = sample_optimized_grid(model, 500, np.random.default_rng(seed),
                                      cells)[0].freqs

@@ -19,6 +19,7 @@ from optrf.fileio import atomic_write, fmt
 from optrf.leverage import build_spectral_model, sample_optimized_rejection
 from optrf.sgd import (
     _CALM,
+    _SCHEDULE_P,
     _fblas,
     Classifier,
     TrainConfig,
@@ -726,21 +727,16 @@ def test_sgd_approaches_the_ridge_optimum():
 
 
 def test_theorem_lambda_fast_decay_limit():
-    assert theorem_lambda(0.5, 2.0, 1.0, p=0.0) == pytest.approx(0.0625)
-    assert theorem_lambda(0.5, 2.0, 1.0, p=1e-9) == pytest.approx(0.0625,
-                                                                  rel=1e-6)
-    assert theorem_lambda(0.5, 2.0, 1.0, p=0.0,
-                          c_lambda=3.0) == pytest.approx(0.1875)
+    # at p = 1e-6 the correction factor 0.25^(-2p/(1+p)) is 1 + 2.8e-6
+    assert theorem_lambda(0.5, 2.0, 1.0) == pytest.approx(0.0625, rel=5e-6)
 
 
 def test_theorem_lambda_polynomial_correction():
-    # r = delta / (f sqrt(q)) = 0.25; exponent -2p/(1+p) with p = 1/2 is -2/3
-    want = 0.0625 * 0.25 ** (-2.0 / 3.0)
-    assert theorem_lambda(0.5, 2.0, 1.0, p=0.5) == pytest.approx(want)
+    # r = delta / (f sqrt(q)) = 0.25 under the exponent -2p/(1+p)
+    p = _SCHEDULE_P
+    assert theorem_lambda(0.5, 2.0, 1.0) == 0.0625 * 0.25 ** (-2 * p / (1 + p))
     with pytest.raises(ConfigError):
-        theorem_lambda(0.0, 1.0, 1.0, p=0.1)
-    with pytest.raises(ConfigError):
-        theorem_lambda(0.5, 1.0, 1.0, p=1.0)
+        theorem_lambda(0.0, 1.0, 1.0)
 
 
 # --- classifier files --------------------------------------------------------

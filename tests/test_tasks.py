@@ -454,6 +454,24 @@ def test_resolve_lambda_prefers_explicit_value(sphere_task):
     assert auto == pytest.approx(want, rel=1e-4)
 
 
+# the schedule's lambda on the reference tasks, recorded when theorem_lambda
+# still took p and c_lambda as parameters
+_SCHEDULE_LAMBDAS = {
+    ("sphere", 1.0): 0.014424713331716209,
+    ("sphere", 0.5): 0.014424703333280298,
+    ("sphere", 0.1): 0.014424680117657775,
+    ("subgaussian", 1.0): 0.1252350008958894,
+    ("subgaussian", 0.5): 0.1252349140897185,
+    ("subgaussian", 0.1): 0.12523471253226356,
+}
+
+
+def test_resolve_lambda_is_the_schedule_to_the_bit(sphere_task, cluster_task):
+    tasks = {"sphere": sphere_task, "subgaussian": cluster_task}
+    for (kind, q_min), want in _SCHEDULE_LAMBDAS.items():
+        assert resolve_lambda(tasks[kind], CellConfig(q_min=q_min)) == want
+
+
 def test_cell_config_validation():
     with pytest.raises(ConfigError):
         CellConfig(sampler="magic")
