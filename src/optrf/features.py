@@ -7,10 +7,13 @@ coordinates.  A frequency v maps an input x to the feature pair
     (cos(-2 pi v.x), sin(-2 pi v.x)),
 
 and averaging products of feature pairs over v ~ tau recovers the kernel.
-Feature sets sampled from a reweighted (leverage-optimized) distribution carry
-the density ratio q(v) of each frequency, which the trainer checks against
-its q_min hypothesis.  The feature-set text format is defined here; the
-classifier format in ``sgd`` embeds it.
+Every cosine-sine pair in the package is computed from one tangent of the
+half-angle, h = -pi v.x, by the double-angle formulas in ``_cos_sin_double``;
+fl(2 pi) = 2 fl(pi), so 2h is the phase to the bit.  Feature sets sampled
+from a reweighted (leverage-optimized) distribution carry the density ratio
+q(v) of each frequency, which the trainer checks against its q_min
+hypothesis.  The feature-set text format is defined here; the classifier
+format in ``sgd`` embeds it.
 """
 
 from __future__ import annotations
@@ -92,6 +95,25 @@ def sample_tau(kern: GaussianKernel, m: int, rng: np.random.Generator) -> np.nda
     return rng.normal(0.0, kern.tau_sigma, size=(m, kern.dim))
 
 
+def _cos_sin_double(h: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
+    """Write cos 2h and sin 2h into ``cos`` and ``sin``; ``h`` is overwritten
+    with t = tan h.
+
+    With w = 2 / (1 + t^2), cos 2h = w - 1 and sin 2h = t w.  On x86-64
+    CPUs with AVX512 numpy runs float64 ``tan`` through SIMD kernels but
+    ``cos`` and ``sin`` through scalar libm, so the tangent and four
+    arithmetic passes cost less than either of the two.  For finite h both
+    results are within 5e-16 of the true values and c^2 + s^2 is within
+    1e-15 of one; no temporary is made.
+    """
+    t = np.tan(h, out=h)
+    np.multiply(t, t, out=cos)
+    cos += 1.0
+    np.divide(2.0, cos, out=cos)
+    np.multiply(t, cos, out=sin)
+    cos -= 1.0
+
+
 def feature_pair(v, x):
     """Return (cos(-2 pi v.x), sin(-2 pi v.x)) with broadcasting over rows.
 
@@ -100,8 +122,11 @@ def feature_pair(v, x):
     """
     v = np.asarray(v, dtype=float)
     x = np.asarray(x, dtype=float)
-    ang = -2.0 * np.pi * (v * x).sum(axis=-1)
-    return np.cos(ang), np.sin(ang)
+    h = np.asarray(-np.pi * (v * x).sum(axis=-1))
+    c, s = np.empty_like(h), np.empty_like(h)
+    _cos_sin_double(h, c, s)
+    # [()] gives scalars, as np.cos does, for a single frequency
+    return c[()], s[()]
 
 
 @dataclass(frozen=True)

@@ -22,11 +22,19 @@ eigenpairs.  Because sum_j w_j (cos^2 + sin^2) = 1 and 1/(mu + lam) =
 
     ell(v) = (1 - |C^T cos|^2 - |C^T sin|^2) / lam
 
-exactly when r = n.  ell >= 1/(1 + lam), so dropping the pairs past r moves
-ell by at most ((1 + lam)/lam) mu_{r+1}/(mu_{r+1} + lam) relative; r is the
-smallest count that holds this to 1e-13.  The subtraction costs about
-log10((1/lam)/ell_min) digits, two at the usual ridge levels, and the result
-never exceeds 1/lam in floating point, so q <= q_max_bound holds exactly.
+exactly when r = n.  The cos and sin tables come from one tangent of the
+half-angle (``features._cos_sin_double``), whose pairs hold
+cos^2 + sin^2 = 1 to within 1e-15.  ell >= 1/(1 + lam), so dropping the
+pairs past r moves ell by at most ((1 + lam)/lam) mu_{r+1}/(mu_{r+1} + lam)
+relative; r is the smallest count that holds this to 1e-13.  The
+subtraction costs about log10((1/lam)/ell_min) digits, two at the usual
+ridge levels, and the result never exceeds 1/lam in floating point, so
+q <= q_max_bound holds exactly.
+
+The rejection sampler draws a batch's proposals and uniforms first, then
+scores them _BATCH rows at a time and stops at the chunk of the m-th
+acceptance; scoring draws nothing, so the stream is that of scoring whole
+batches.
 
 On the grid sampler's product grid e^{-2 pi i v.x} factors by coordinate:
 the cos/sin tables of each coordinate (cells x n) give the D = 2 rows by
@@ -48,7 +56,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SamplerAbort
-from .features import FeatureSet, GaussianKernel, gram, sample_tau
+from .features import (FeatureSet, GaussianKernel, _cos_sin_double, gram,
+                       sample_tau)
 
 # eigenvalues of K/N0 below this are counted as zero rank; more negative
 # than -1e-10 means the Gram computation itself went wrong
@@ -199,8 +208,11 @@ def unnormalized_leverage(model: SpectralModel, V) -> np.ndarray:
     V = np.atleast_2d(np.asarray(V, dtype=float))
     out = np.empty(V.shape[0])
     for lo in range(0, V.shape[0], _BATCH):
-        ang = 2.0 * np.pi * (V[lo:lo + _BATCH] @ model.rows.T)
-        out[lo:lo + _BATCH] = _ell(model, np.cos(ang), np.sin(ang))
+        h = V[lo:lo + _BATCH] @ model.rows.T
+        h *= np.pi
+        c, s = np.empty((2, *h.shape))
+        _cos_sin_double(h, c, s)
+        out[lo:lo + _BATCH] = _ell(model, c, s)
     return out
 
 
@@ -269,24 +281,24 @@ def sample_optimized_rejection(
         # deterministic batch schedule: scale with the expected yield
         batch = min(1 << 20, max(1024, math.ceil(1.5 * (m - accepted) / exp_rate)))
         V = sample_tau(model.kern, batch, rng)
-        q = leverage_score(model, V)
-        if bottom_raised:
-            q = q / 2.0 + 0.5
         u = rng.random(batch)
-        keep = u * env < q
-        hits = np.flatnonzero(keep)
-        if accepted + hits.size >= m:
-            # stop counting at the m-th acceptance so the recorded
-            # acceptance rate stays an unbiased estimate
-            need = m - accepted
-            cut = int(hits[need - 1]) + 1
-            hits = hits[:need]
-            proposals += cut
-        else:
-            proposals += batch
-        freqs.append(V[hits])
-        qs.append(q[hits])
-        accepted += hits.size
+        # scoring draws nothing, so the batch is scored _BATCH rows at a
+        # time, the chunks leverage_score uses, up to the m-th acceptance
+        for lo in range(0, batch, _BATCH):
+            v = V[lo:lo + _BATCH]
+            q = leverage_score(model, v)
+            if bottom_raised:
+                q = q / 2.0 + 0.5
+            hits = np.flatnonzero(u[lo:lo + _BATCH] * env < q)[:m - accepted]
+            accepted += hits.size
+            freqs.append(v[hits])
+            qs.append(q[hits])
+            if accepted == m:
+                # stop counting at the m-th acceptance so the recorded
+                # acceptance rate stays an unbiased estimate
+                proposals += int(hits[-1]) + 1
+                break
+            proposals += len(v)
     diag = SamplerDiagnostics(proposals=proposals, accepted=accepted,
                               expected_acceptance=exp_rate)
     fs = FeatureSet(freqs=np.vstack(freqs), mode="optimized",
@@ -375,9 +387,10 @@ def _grid_score(model: SpectralModel, centers: np.ndarray) -> np.ndarray:
     table is ever held.  The second half mirrors the first, ell(-v) = ell(v)
     for ``centers`` antisymmetric to the bit.
     """
-    ang = 2.0 * np.pi * (centers[None, :, None] * model.rows.T[:, None, :])
-    cos, sin = np.cos(ang), np.sin(ang)
-    dim, cells, n = ang.shape
+    h = np.pi * (centers[None, :, None] * model.rows.T[:, None, :])
+    cos, sin = np.empty((2, *h.shape))
+    _cos_sin_double(h, cos, sin)
+    dim, cells, n = h.shape
     inner = cells ** (dim - 1)
     step = max(1, _BATCH // inner)
     top = (cells + 1) // 2

@@ -17,7 +17,7 @@ average of the last N/2 iterates.
 
 The update is alpha' = a alpha + b phi with a = 1 - 2 eta mu and
 b = -2 eta (f(x) - y).  Every feature row has ||phi(x)||^2 = M because
-cos^2 + sin^2 = 1, so
+cos^2 + sin^2 = 1 (to within 1e-15 per pair as computed), so
 
     ||alpha'||^2 = a^2 ||alpha||^2 + 2 a b f(x) + b^2 M
 
@@ -55,9 +55,10 @@ steps run one at a time on level-1 BLAS instead:
 
 Prediction uses the amplitude-phase form of the same sum,
 f(x) = sum_k r_k cos(-2 pi v_k.x - p_k) with r_k = hypot(alpha_2k,
-alpha_2k+1) and p_k = atan2(alpha_2k+1, alpha_2k): one cosine per feature,
-taken over 1024 rows at a time, so no (n, 2M) or (n, M) matrix is held.
-The identity a cos t + b sin t = r cos(t - p) is exact, so the two forms
+alpha_2k+1) and p_k = atan2(alpha_2k+1, alpha_2k), and takes each cosine
+from the tangent u of the half-angle: r cos 2h = 2r / (1 + u^2) - r.  That
+is one tangent per feature, taken over 1024 rows at a time, so no (n, 2M)
+or (n, M) matrix is held.  The identities are exact, so the two forms
 agree up to rounding of order eps * sum_k r_k.
 
 Training's BLAS routines (ddot, dscal, daxpy, dgemv, dsyrk, dtrsv) are
@@ -79,7 +80,7 @@ from itertools import islice
 import numpy as np
 
 from .errors import ConfigError, StreamExhausted
-from .features import (FeatureSet, feature_pair, format_feature_set,
+from .features import (FeatureSet, _cos_sin_double, format_feature_set,
                        parse_feature_set)
 from .fileio import fmt, lines, load, located, parse_header, parse_row
 
@@ -164,20 +165,20 @@ def _inputs(fs: FeatureSet, X) -> np.ndarray:
     return X
 
 
-def _angles(fs: FeatureSet, X, out=None) -> np.ndarray:
-    """The (n, M) phases -2 pi x_i . v_k of checked inputs X, in ``out``
-    when given."""
+def _half_angles(fs: FeatureSet, X, out=None) -> np.ndarray:
+    """The (n, M) half-phases -pi x_i . v_k of checked inputs X, in ``out``
+    when given.  fl(2 pi) = 2 fl(pi), so twice each is the phase
+    -2 pi x_i . v_k to the bit."""
     ang = np.matmul(X, fs.freqs.T, out=out)
-    ang *= -2.0 * np.pi
+    ang *= -np.pi
     return ang
 
 
 def feature_matrix(fs: FeatureSet, X) -> np.ndarray:
     """Interleaved (n, 2M) feature matrix [cos_0, sin_0, cos_1, sin_1, ...]."""
-    ang = _angles(fs, _inputs(fs, X))
-    out = np.empty((ang.shape[0], 2 * fs.num_features))
-    np.cos(ang, out=out[:, 0::2])
-    np.sin(ang, out=out[:, 1::2])
+    h = _half_angles(fs, _inputs(fs, X))
+    out = np.empty((h.shape[0], 2 * fs.num_features))
+    _cos_sin_double(h, out[:, 0::2], out[:, 1::2])
     return out
 
 
@@ -205,15 +206,17 @@ class Classifier:
 def predict(clf: Classifier, X) -> np.ndarray:
     """Real-valued predictions f(x) = phi(x) . alpha for each row of X.
 
-    Evaluated in amplitude-phase form, one cosine per feature and no
+    Evaluated in amplitude-phase form, one tangent per feature and no
     (n, 2M) matrix: with r_k = hypot(a_k, b_k) and p_k = atan2(b_k, a_k)
     for the pair (a_k, b_k) = (alpha_2k, alpha_2k+1),
 
         a_k cos t + b_k sin t = r_k cos(t - p_k),
 
-    because r_k cos p_k = a_k and r_k sin p_k = b_k.  The identity is
-    exact, so the two forms differ only by rounding, of order
-    eps * sum_k r_k.
+    because r_k cos p_k = a_k and r_k sin p_k = b_k.  The half-angle
+    h = (t - p_k) / 2 is computed exactly, as -pi v_k.x - p_k / 2, and
+    with u = tan h, r_k cos 2h = 2 r_k / (1 + u^2) - r_k: each row is one
+    product with 2r less sum_k r_k.  The identities are exact, so the two
+    forms differ only by rounding, of order eps * sum_k r_k.
 
     Rows are evaluated 1024 at a time in one reused buffer, so no (n, M)
     matrix is held either.  A row's rounding depends on how BLAS blocks
@@ -226,17 +229,22 @@ def predict(clf: Classifier, X) -> np.ndarray:
     fs, alpha = clf.feature_set, clf.alpha
     X = _inputs(fs, X)
     n = X.shape[0]
-    phase = np.arctan2(alpha[1::2], alpha[0::2])
+    half_phase = 0.5 * np.arctan2(alpha[1::2], alpha[0::2])
     amp = np.hypot(alpha[0::2], alpha[1::2])
+    amp_twice, amp_sum = 2.0 * amp, amp.sum()
     out = np.empty(n)
     bounds = [*range(0, n, _CHUNK), n]
     if n > 1 and n % _CHUNK == 1:
         del bounds[-2]
     buf = np.empty((min(n, _CHUNK + 1), fs.num_features))
     for lo, hi in zip(bounds, bounds[1:]):
-        ang = _angles(fs, X[lo:hi], buf[:hi - lo])
-        ang -= phase
-        np.matmul(np.cos(ang, out=ang), amp, out=out[lo:hi])
+        h = _half_angles(fs, X[lo:hi], buf[:hi - lo])
+        h -= half_phase
+        u = np.tan(h, out=h)
+        u *= u
+        u += 1.0
+        np.matmul(np.reciprocal(u, out=u), amp_twice, out=out[lo:hi])
+        out[lo:hi] -= amp_sum
     return out
 
 
@@ -263,10 +271,7 @@ def grad_estimate(fs: FeatureSet, alpha, x, y: float, lam: float,
     """
     alpha = np.asarray(alpha, dtype=float)
     if phi is None:
-        c, s = feature_pair(fs.freqs, np.asarray(x, dtype=float))
-        phi = np.empty(2 * fs.num_features)
-        phi[0::2] = c
-        phi[1::2] = s
+        phi = feature_matrix(fs, x)[0]
     prefactor = 2.0 * (float(phi @ alpha) - float(y))
     return prefactor * phi + (2.0 * lam * fs.num_features * q_min) * alpha
 

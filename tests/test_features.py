@@ -9,6 +9,7 @@ from optrf.fileio import atomic_write
 from optrf.features import (
     FeatureSet,
     GaussianKernel,
+    _cos_sin_double,
     eval_kernel,
     feature_pair,
     format_feature_set,
@@ -175,6 +176,29 @@ def test_feature_pair_known_values():
     c, s = feature_pair(np.array([[0.25, 0.0]]), np.array([1.0, 7.0]))
     assert float(c[0]) == pytest.approx(0.0, abs=1e-15)
     assert float(s[0]) == pytest.approx(-1.0)
+
+
+def test_cos_sin_double_against_long_double():
+    # cos 2h = w - 1 and sin 2h = t w from t = tan h, w = 2 / (1 + t^2),
+    # against cos and sin of 2h in extended precision; near h = +-pi/2 the
+    # tangent runs to 1e16 and w to 1e-32
+    half_pi = np.pi / 2 * np.array([-1.0, 1.0])
+    h = np.concatenate([
+        np.random.default_rng(5).uniform(-4 * np.pi, 4 * np.pi, 200_000),
+        np.pi / 4 * np.arange(-16, 17),  # 0, +-pi/4, +-pi/2, ..., +-4 pi
+        [-0.0],
+        (half_pi[:, None] + np.linspace(-1e-6, 1e-6, 201)).ravel(),
+        np.nextafter(half_pi, 0.0), np.nextafter(half_pi, 2 * half_pi)])
+    c, s = np.empty_like(h), np.empty_like(h)
+    _cos_sin_double(h.copy(), c, s)
+    twice = 2 * h.astype(np.longdouble)
+    assert np.max(np.abs(c - np.cos(twice))) <= 5e-16
+    assert np.max(np.abs(s - np.sin(twice))) <= 5e-16
+    assert np.max(np.abs(c * c + s * s - 1.0)) <= 1e-15
+    # the tangent overwrites h in place
+    t = h.copy()
+    _cos_sin_double(t, c, s)
+    assert np.array_equal(t, np.tan(h))
 
 
 def test_feature_pair_unit_circle():

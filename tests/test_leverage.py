@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,9 @@ from scipy.special import ndtr
 
 from optrf import leverage
 from optrf.errors import ConfigError, SamplerAbort
-from optrf.features import GaussianKernel, gram, sample_tau
+from optrf.features import FeatureSet, GaussianKernel, gram, sample_tau
 from optrf.leverage import (
+    SamplerDiagnostics,
     _BATCH,
     _cell_masses,
     _folded_eigh,
@@ -155,6 +157,73 @@ def test_rejection_sampler_deterministic(line_model):
     fs2, _ = sample_optimized_rejection(line_model, 64, np.random.default_rng(18))
     assert np.array_equal(fs1.freqs, fs2.freqs)
     assert np.array_equal(fs1.leverage_values, fs2.leverage_values)
+
+
+def _whole_batch_rejection(model, m, rng, bottom_raised=False):
+    """The rejection sampler scoring each whole batch before drawing its
+    uniforms, with the sampler's batch schedule; returns its feature set,
+    diagnostics and the number of batches drawn."""
+    env = q_max_bound(model)
+    if bottom_raised:
+        env = env / 2.0 + 0.5
+    exp_rate = 1.0 / env
+    freqs, qs, proposals, accepted, batches = [], [], 0, 0, 0
+    while accepted < m:
+        batch = min(1 << 20, max(1024, math.ceil(1.5 * (m - accepted) / exp_rate)))
+        batches += 1
+        V = sample_tau(model.kern, batch, rng)
+        q = leverage_score(model, V)
+        if bottom_raised:
+            q = q / 2.0 + 0.5
+        hits = np.flatnonzero(rng.random(batch) * env < q)
+        if accepted + hits.size >= m:
+            hits = hits[:m - accepted]
+            proposals += int(hits[-1]) + 1
+        else:
+            proposals += batch
+        freqs.append(V[hits])
+        qs.append(q[hits])
+        accepted += hits.size
+    diag = SamplerDiagnostics(proposals=proposals, accepted=accepted,
+                              expected_acceptance=exp_rate)
+    fs = FeatureSet(freqs=np.vstack(freqs), mode="optimized",
+                    leverage_values=np.concatenate(qs), lam=model.lam,
+                    acceptance_rate=diag.acceptance_rate)
+    return fs, diag, batches
+
+
+@pytest.mark.parametrize("lam, m, bottom_raised, seeds, most_batches", [
+    (0.01, 500, False, [19], 1),       # one batch of 18 slices
+    (0.01, 500, True, [19], 1),
+    (0.001, 5, False, range(20), 2),   # some seeds need a second batch
+])
+def test_lazy_scoring_matches_scoring_whole_batches(lam, m, bottom_raised,
+                                                    seeds, most_batches,
+                                                    monkeypatch):
+    # scoring draws nothing, so scoring _BATCH rows at a time and stopping
+    # at the slice of the m-th acceptance gives the same features and counts
+    model = build_spectral_model(
+        np.random.default_rng(10).uniform(-1.5, 1.5, size=(50, 1)), KERN1, lam)
+    scored = []
+    score = leverage.leverage_score
+    monkeypatch.setattr(leverage, "leverage_score",
+                        lambda model, V: scored.append(len(V)) or score(model, V))
+    batches = []
+    for seed in seeds:
+        want_fs, want_diag, n_batches = _whole_batch_rejection(
+            model, m, np.random.default_rng(seed), bottom_raised)
+        batches.append(n_batches)
+        scored.clear()
+        fs, diag = sample_optimized_rejection(
+            model, m, np.random.default_rng(seed), bottom_raised=bottom_raised)
+        assert diag == want_diag
+        assert np.array_equal(fs.freqs, want_fs.freqs)
+        assert np.array_equal(fs.leverage_values, want_fs.leverage_values)
+        assert fs.acceptance_rate == want_fs.acceptance_rate
+        assert max(scored) <= _BATCH
+        # every counted proposal is scored, and less than one slice more
+        assert diag.proposals <= sum(scored) < diag.proposals + _BATCH
+    assert max(batches) == most_batches
 
 
 def test_rejection_sampler_abort(line_model):

@@ -123,11 +123,13 @@ def test_predict_agrees_with_the_feature_matrix(m, d):
 
 
 def _one_shot_predict(clf, X):
-    """predict's amplitude-phase formula over all rows at once."""
+    """predict's formula over all rows at once: sum_k r_k cos 2h_k as
+    sum_k 2 r_k / (1 + tan^2 h_k) - sum_k r_k."""
     alpha = clf.alpha
-    ang = -2.0 * np.pi * (X @ clf.feature_set.freqs.T)
-    ang -= np.arctan2(alpha[1::2], alpha[0::2])
-    return np.cos(ang) @ np.hypot(alpha[0::2], alpha[1::2])
+    h = -np.pi * (X @ clf.feature_set.freqs.T)
+    h -= 0.5 * np.arctan2(alpha[1::2], alpha[0::2])
+    r = np.hypot(alpha[0::2], alpha[1::2])
+    return 1.0 / (1.0 + np.tan(h) ** 2) @ (2.0 * r) - r.sum()
 
 
 @pytest.mark.parametrize("m", [1, 32, 256])
