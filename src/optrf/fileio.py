@@ -116,12 +116,16 @@ def atomic_write(path, text: str) -> None:
 
     The rename is atomic on POSIX, so a crashed run never leaves a partial
     file behind.  Whether an existing file may be replaced is the caller's
-    decision.
+    decision.  The file gets the mode ``open()`` gives a new file,
+    0o666 less the umask, where the temp file starts out 0o600.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -216,7 +216,11 @@ def predict(clf: Classifier, X) -> np.ndarray:
     h = (t - p_k) / 2 is computed exactly, as -pi v_k.x - p_k / 2, and
     with u = tan h, r_k cos 2h = 2 r_k / (1 + u^2) - r_k: each row is one
     product with 2r less sum_k r_k.  The identities are exact, so the two
-    forms differ only by rounding, of order eps * sum_k r_k.
+    forms differ only by rounding, of order eps * sum_k r_k.  The tangent
+    route pays where numpy dispatches float64 tan to AVX512 kernels; with
+    AVX2 dispatch only, tan costs about what cos does, and on a 2-CPU
+    x86-64 host this form took 79.0 ms at 10 000 rows and 256 features
+    against 57.5 ms with cos.
 
     Rows are evaluated 1024 at a time in one reused buffer, so no (n, M)
     matrix is held either.  A row's rounding depends on how BLAS blocks

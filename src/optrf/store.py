@@ -9,9 +9,16 @@ so adding a cell's count touches exactly ``depth + 1`` nodes and drawing a
 cell proportional to its count walks one root-to-leaf path.
 
 ``build_tree`` fills a tree from a whole batch: it quantizes the batch in one
-pass, finds the distinct cells by a lexsort of the index rows, and costs
+pass, packs each point's cell indices into one int64 key and finds the
+distinct cells by one sort of those keys, so it costs that sort plus
 ``depth + 1`` node updates per distinct cell rather than per point.
 ``CountTree.increment`` is the streaming path, one point at a time.
+
+``CountTree.sample_cell`` draws ``depth`` uniforms per cell but compares only
+at branching nodes, those with both children occupied: below any other node
+every draw goes the same way, so the walk jumps over single-child runs.  The
+jumps are indexed lazily, only for the nodes that draws reach, so a draw
+costs one step per branching node on its path once its path is indexed.
 
 Usage contract: build first (batch build, increments), then freeze and
 sample.  The tree is not thread safe.  It lives in memory only: no command
@@ -124,12 +131,15 @@ class GridSpec:
         return format(leaf, f"0{self.depth}b")
 
     def cell_center(self, leaf: int) -> np.ndarray:
-        idx = np.empty(self.dim, dtype=np.int64)
-        mask = self.cells_per_coord - 1
-        for c in range(self.dim - 1, -1, -1):
-            idx[c] = leaf & mask
-            leaf >>= self.bits_per_coord
-        return self.lower + (idx + 0.5) * self.delta
+        return self.cell_centers([leaf])[0]
+
+    def cell_centers(self, leaves) -> np.ndarray:
+        """Centers of the cells at the given leaf addresses, (len, dim)."""
+        mask, bits = self.cells_per_coord - 1, self.bits_per_coord
+        shifts = range(self.depth - bits, -1, -bits)
+        idx = np.array([[(leaf >> s) & mask for s in shifts]
+                        for leaf in leaves], dtype=np.int64)
+        return self.lower + (idx.reshape(-1, self.dim) + 0.5) * self.delta
 
 
 class CountTree:
@@ -137,11 +147,17 @@ class CountTree:
 
     Nodes are stored sparsely per level as {prefix: count}; level 0 is the
     root, level ``spec.depth`` holds the leaves.  Counts fit 64-bit integers.
+
+    Sampling walks ``_index``, which maps a node reached by a draw, named
+    by its heap number ``(1 << level) | prefix``, to where its single-child
+    run ends: either ``(level, count, left count, heap number of the left
+    child)`` of a branching node, or ``(bits, center)`` of a leaf.
     """
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
         self._levels: list[dict[int, int]] = [dict() for _ in range(spec.depth + 1)]
+        self._index: dict[int, tuple] = {}
         self._frozen = False
 
     def __len__(self) -> int:
@@ -165,18 +181,46 @@ class CountTree:
             nodes[prefix] = nodes.get(prefix, 0) + count
 
     def sample_cell(self, rng: np.random.Generator) -> tuple[str, np.ndarray]:
-        """Draw a cell with probability count/total; returns (bits, center)."""
+        """Draw a cell with probability count/total; returns (bits, center).
+
+        Level by level the walk goes left when ``u * count < left count``
+        for that level's uniform u.  One draw per level is taken at once,
+        the same stream in the same order as one rng.random() call per
+        level, but only branching nodes compare: a node with one occupied
+        child goes to it for every u in [0, 1).
+        """
         self._frozen = True
         if self.total() == 0:
             raise ConfigError("cannot sample from an empty tree")
-        # one draw per level, taken at once: the same stream, in the same
-        # order, as one rng.random() call per level
-        prefix = 0
-        for level, u in enumerate(rng.random(self.spec.depth).tolist()):
-            left = self._levels[level + 1].get(2 * prefix, 0)
-            here = self._levels[level][prefix]
-            prefix = 2 * prefix if u * here < left else 2 * prefix + 1
-        return self.spec.leaf_bits(prefix), self.spec.cell_center(prefix)
+        u = rng.random(self.spec.depth).tolist()
+        index, node = self._index, 1
+        while True:
+            entry = index.get(node) or self._reach(node)
+            if len(entry) == 2:
+                bits, center = entry
+                return bits, center.copy()
+            level, here, left, node = entry
+            if not u[level] * here < left:
+                node += 1
+
+    def _reach(self, node: int) -> tuple:
+        """Index entry of a node a draw reached: follow its single-child run
+        down to the first branching node or leaf."""
+        depth, levels = self.spec.depth, self._levels
+        level = node.bit_length() - 1
+        prefix = node ^ (1 << level)
+        while level < depth:
+            here = levels[level][prefix]
+            left = levels[level + 1].get(2 * prefix, 0)
+            if 0 < left < here:
+                entry = (level, here, left, 2 * ((1 << level) | prefix))
+                break
+            prefix = 2 * prefix + (left == 0)
+            level += 1
+        else:
+            entry = (self.spec.leaf_bits(prefix), self.spec.cell_center(prefix))
+        self._index[node] = entry
+        return entry
 
     def leaf_distribution(self) -> list[tuple[str, int]]:
         """All occupied leaves as (bit string, count), sorted by cell address."""
@@ -185,12 +229,9 @@ class CountTree:
 
     def expanded_points(self) -> np.ndarray:
         """Cell centers repeated by multiplicity, shape (total, dim)."""
-        rows = []
-        for leaf, count in sorted(self._levels[-1].items()):
-            rows.append(np.tile(self.spec.cell_center(leaf), (count, 1)))
-        if not rows:
-            return np.empty((0, self.spec.dim))
-        return np.vstack(rows)
+        leaves = sorted(self._levels[-1].items())
+        centers = self.spec.cell_centers([leaf for leaf, _ in leaves])
+        return np.repeat(centers, [count for _, count in leaves], axis=0)
 
     def node_count(self) -> int:
         return sum(len(level) for level in self._levels)
@@ -199,21 +240,31 @@ class CountTree:
 def build_tree(points, lower, upper, delta: float) -> CountTree:
     """Quantize a batch of points into a fresh tree over the given box.
 
-    The batch is quantized at once and the distinct cells found by a
-    lexsort of the index rows (first coordinate most significant, so in
-    address order), so the build costs one lexsort plus ``depth + 1`` node
-    updates per distinct cell.  Each column of indices fits int64 at any
-    depth, so grids deeper than 63 bits take the same path.  Use
+    Each point's cell indices are packed into one int64 key, column by
+    column as ``key << bits | index``, first coordinate most significant.
+    When the next column would push the key past 63 bits, the keys are
+    first replaced by their ranks, which keeps their order.  One argsort of
+    the keys then lists the distinct cells in address order, with their
+    counts and a row of each, so the build costs one sort of n keys plus
+    ``depth + 1`` node updates per distinct cell, at any depth.  Use
     ``CountTree.increment`` to stream further points into the tree.
     """
     spec = GridSpec.build(lower, upper, delta)
     idx = spec.coord_indices(np.atleast_2d(points))
-    rows = idx[np.lexsort(idx.T[::-1])]
-    new = np.ones(len(rows), dtype=bool)
-    new[1:] = (rows[1:] != rows[:-1]).any(axis=1)
-    starts = np.flatnonzero(new)
-    counts = np.diff(np.append(starts, len(rows)))
+    bits = spec.bits_per_coord
+    key, width = np.zeros(len(idx), dtype=np.int64), 0
+    for col in idx.T:
+        if width + bits > 63:
+            key = np.unique(key, return_inverse=True)[1]
+            width = int(key.max(initial=0)).bit_length()
+        key = (key << bits) | col
+        width += bits
+    order = np.argsort(key)
+    ordered = key[order]
+    # keys are non-negative, so the first one always differs from -1
+    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
+    counts = np.diff(starts, append=len(key))
     tree = CountTree(spec)
-    for row, count in zip(rows[starts].tolist(), counts.tolist()):
+    for row, count in zip(idx[order[starts]].tolist(), counts.tolist()):
         tree._add(spec._leaf_address(row), count)
     return tree

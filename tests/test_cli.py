@@ -62,6 +62,21 @@ def test_gen_task_refuses_overwrite_without_force(ws, capsys):
     assert run("gen-task", "--force", "--out", ws / "task.txt") == EXIT_OK
 
 
+def test_written_files_take_the_umask_mode(tmp_path):
+    # the temp file behind each write starts out 0600; a new file and a
+    # --force replacement both get 0666 less the umask, as open() gives
+    out = tmp_path / "task.txt"
+    old = os.umask(0o022)
+    try:
+        assert run("gen-task", "--out", out) == EXIT_OK
+        assert out.stat().st_mode & 0o777 == 0o644
+        out.chmod(0o600)
+        assert run("gen-task", "--force", "--out", out) == EXIT_OK
+        assert out.stat().st_mode & 0o777 == 0o644
+    finally:
+        os.umask(old)
+
+
 def test_gen_task_infeasible_margin_fails_certification(ws, capsys):
     assert run("gen-task", "--delta", "0.9",
                "--out", ws / "nope.txt") == EXIT_CERTIFICATION

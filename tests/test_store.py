@@ -250,6 +250,11 @@ def _batch_cases():
                      [1.0, 1.0]])
     fine = np.vstack([rng.random((200, 2)), [[1 - 2.0**-40, 1.0]] * 3,
                       [[0.0, 0.0]]])
+    # 22 bits per coordinate: the key passes 63 bits at the third column;
+    # the last three rows differ only in the first coordinate's top bits
+    wide = np.vstack([rng.random((300, 3)), [[0.5, 1.0, 1 - 2.0**-22]] * 4,
+                      [[0.0, 0.0, 1.0]] * 2, [[0.25, 0.0, 1.0]],
+                      [[0.75, 0.0, 1.0]] * 3])
     return {
         "1d": (rng.random((300, 1)), [0.0], [1.0], 1 / 16),
         "2d": (rng.uniform([-1.0, 3.0], [2.0, 4.5], (500, 2)), [-1.0, 3.0],
@@ -261,6 +266,7 @@ def _batch_cases():
                               [1.0, 1.0], 0.3),
         "empty": (np.empty((0, 2)), [0.0, 0.0], [1.0, 1.0], 0.25),
         "80-bit": (fine, [0.0, 0.0], [1.0, 1.0], 2.0**-40),
+        "66-bit": (wide, [0.0] * 3, [1.0] * 3, 2.0**-22),
     }
 
 
@@ -269,10 +275,35 @@ def test_batch_build_equals_streamed_inserts(case):
     points, lower, upper, delta = _batch_cases()[case]
     tree = build_tree(points, lower, upper, delta)
     assert tree.total() == len(points)
-    if case == "80-bit":
-        assert tree.spec.depth == 80
+    deep = {"66-bit": 66, "80-bit": 80}
+    if case in deep:
+        assert tree.spec.depth == deep[case]
         assert max(tree._levels[-1]) >= 2**63
     _assert_same_tree(tree, _streamed(points, lower, upper, delta))
+
+
+def test_mutating_a_drawn_center_leaves_later_draws_unchanged():
+    points, lower, upper, delta = _batch_cases()["repeated"]
+    tree = build_tree(points, lower, upper, delta)
+    rng = np.random.default_rng(10)
+    for _ in range(200):
+        bits, center = tree.sample_cell(rng)
+        assert np.array_equal(center, tree.spec.cell_center(int(bits, 2)))
+        center[:] = -1.0
+
+
+def test_sampling_indexes_only_the_nodes_draws_reach():
+    # 20 000 cells at 80 bits hold over a million nodes; one draw may add
+    # at most one index entry per level it passes
+    points = np.random.default_rng(11).random((20_000, 2))
+    tree = build_tree(points, [0.0, 0.0], [1.0, 1.0], 2.0**-40)
+    assert len(tree) == 20_000 and tree._index == {}
+    rng = np.random.default_rng(12)
+    for _ in range(3):
+        before = len(tree._index)
+        tree.sample_cell(rng)
+        assert len(tree._index) - before <= tree.spec.depth
+    assert tree._index
 
 
 def test_coord_indices_of_a_batch_match_its_rows():
