@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import os
-import tempfile
 from contextlib import contextmanager
 
 from .errors import ConfigError
@@ -116,16 +115,15 @@ def atomic_write(path, text: str) -> None:
 
     The rename is atomic on POSIX, so a crashed run never leaves a partial
     file behind.  Whether an existing file may be replaced is the caller's
-    decision.  The file gets the mode ``open()`` gives a new file,
-    0o666 less the umask, where the temp file starts out 0o600.
+    decision.  The temp file is created with mode 0o666, so the file gets
+    what ``open()`` gives a new file, 0o666 less the umask; the random name
+    and ``O_EXCL`` keep it from taking over a file that is already there.
     """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        umask = os.umask(0)
-        os.umask(umask)
-        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
         os.replace(tmp, path)

@@ -14,11 +14,9 @@ distinct cells by one sort of those keys, so it costs that sort plus
 ``depth + 1`` node updates per distinct cell rather than per point.
 ``CountTree.increment`` is the streaming path, one point at a time.
 
-``CountTree.sample_cell`` draws ``depth`` uniforms per cell but compares only
-at branching nodes, those with both children occupied: below any other node
-every draw goes the same way, so the walk jumps over single-child runs.  The
-jumps are indexed lazily, only for the nodes that draws reach, so a draw
-costs one step per branching node on its path once its path is indexed.
+``CountTree.sample_cell`` draws ``depth`` uniforms per cell and walks one
+root-to-leaf path, two dict lookups per level; each leaf a draw reaches
+keeps its bits and center, so a leaf drawn again costs only the walk.
 
 Usage contract: build first (batch build, increments), then freeze and
 sample.  The tree is not thread safe.  It lives in memory only: no command
@@ -148,16 +146,13 @@ class CountTree:
     Nodes are stored sparsely per level as {prefix: count}; level 0 is the
     root, level ``spec.depth`` holds the leaves.  Counts fit 64-bit integers.
 
-    Sampling walks ``_index``, which maps a node reached by a draw, named
-    by its heap number ``(1 << level) | prefix``, to where its single-child
-    run ends: either ``(level, count, left count, heap number of the left
-    child)`` of a branching node, or ``(bits, center)`` of a leaf.
+    ``_leaves`` caches ``(bits, center)`` of each leaf a draw has reached.
     """
 
     def __init__(self, spec: GridSpec):
         self.spec = spec
         self._levels: list[dict[int, int]] = [dict() for _ in range(spec.depth + 1)]
-        self._index: dict[int, tuple] = {}
+        self._leaves: dict[int, tuple[str, np.ndarray]] = {}
         self._frozen = False
 
     def __len__(self) -> int:
@@ -183,44 +178,23 @@ class CountTree:
     def sample_cell(self, rng: np.random.Generator) -> tuple[str, np.ndarray]:
         """Draw a cell with probability count/total; returns (bits, center).
 
-        Level by level the walk goes left when ``u * count < left count``
-        for that level's uniform u.  One draw per level is taken at once,
-        the same stream in the same order as one rng.random() call per
-        level, but only branching nodes compare: a node with one occupied
-        child goes to it for every u in [0, 1).
+        The walk reads the same uniforms, in the same order, as one
+        rng.random() call per level; it goes left when ``u * count < left
+        count``.  The returned center is a copy of the cached one.
         """
         self._frozen = True
         if self.total() == 0:
             raise ConfigError("cannot sample from an empty tree")
-        u = rng.random(self.spec.depth).tolist()
-        index, node = self._index, 1
-        while True:
-            entry = index.get(node) or self._reach(node)
-            if len(entry) == 2:
-                bits, center = entry
-                return bits, center.copy()
-            level, here, left, node = entry
-            if not u[level] * here < left:
-                node += 1
-
-    def _reach(self, node: int) -> tuple:
-        """Index entry of a node a draw reached: follow its single-child run
-        down to the first branching node or leaf."""
-        depth, levels = self.spec.depth, self._levels
-        level = node.bit_length() - 1
-        prefix = node ^ (1 << level)
-        while level < depth:
-            here = levels[level][prefix]
+        prefix, levels = 0, self._levels
+        for level, u in enumerate(rng.random(self.spec.depth).tolist()):
             left = levels[level + 1].get(2 * prefix, 0)
-            if 0 < left < here:
-                entry = (level, here, left, 2 * ((1 << level) | prefix))
-                break
-            prefix = 2 * prefix + (left == 0)
-            level += 1
-        else:
-            entry = (self.spec.leaf_bits(prefix), self.spec.cell_center(prefix))
-        self._index[node] = entry
-        return entry
+            here = levels[level][prefix]
+            prefix = 2 * prefix if u * here < left else 2 * prefix + 1
+        leaf = self._leaves.get(prefix)
+        if leaf is None:
+            leaf = self._leaves[prefix] = (self.spec.leaf_bits(prefix),
+                                           self.spec.cell_center(prefix))
+        return leaf[0], leaf[1].copy()
 
     def leaf_distribution(self) -> list[tuple[str, int]]:
         """All occupied leaves as (bit string, count), sorted by cell address."""
@@ -243,7 +217,9 @@ def build_tree(points, lower, upper, delta: float) -> CountTree:
     Each point's cell indices are packed into one int64 key, column by
     column as ``key << bits | index``, first coordinate most significant.
     When the next column would push the key past 63 bits, the keys are
-    first replaced by their ranks, which keeps their order.  One argsort of
+    first replaced by their ranks, which keeps their order; if the column
+    still does not fit beside them, so is the column.  Two ranks below n
+    fit in 63 bits for any n below 2**31.  One argsort of
     the keys then lists the distinct cells in address order, with their
     counts and a row of each, so the build costs one sort of n keys plus
     ``depth + 1`` node updates per distinct cell, at any depth.  Use
@@ -255,10 +231,10 @@ def build_tree(points, lower, upper, delta: float) -> CountTree:
     key, width = np.zeros(len(idx), dtype=np.int64), 0
     for col in idx.T:
         if width + bits > 63:
-            key = np.unique(key, return_inverse=True)[1]
-            width = int(key.max(initial=0)).bit_length()
-        key = (key << bits) | col
-        width += bits
+            key, width = _ranks(key)
+        col, col_width = (col, bits) if width + bits <= 63 else _ranks(col)
+        key = (key << col_width) | col
+        width += col_width
     order = np.argsort(key)
     ordered = key[order]
     # keys are non-negative, so the first one always differs from -1
@@ -268,3 +244,10 @@ def build_tree(points, lower, upper, delta: float) -> CountTree:
     for row, count in zip(idx[order[starts]].tolist(), counts.tolist()):
         tree._add(spec._leaf_address(row), count)
     return tree
+
+
+def _ranks(values: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each value's rank among the distinct values, and the ranks' bit
+    width; ranks keep the values' order and stay below len(values)."""
+    ranks = np.unique(values, return_inverse=True)[1]
+    return ranks, int(ranks.max(initial=0)).bit_length()

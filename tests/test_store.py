@@ -267,6 +267,13 @@ def _batch_cases():
         "empty": (np.empty((0, 2)), [0.0, 0.0], [1.0, 1.0], 0.25),
         "80-bit": (fine, [0.0, 0.0], [1.0, 1.0], 2.0**-40),
         "66-bit": (wide, [0.0] * 3, [1.0] * 3, 2.0**-22),
+        # 62 bits per coordinate: the first column's re-ranked keys leave
+        # no room for the second, so it is ranked too; the last five rows
+        # share their second coordinate
+        "124-bit": (np.vstack([rng.random((100, 2)),
+                               [[0.0, 0.0], [0.25, 0.0], [0.5, 0.0],
+                                [0.75, 0.0], [1.0, 0.0]]]),
+                    [0.0, 0.0], [1.0, 1.0], 2.0**-62),
     }
 
 
@@ -275,7 +282,7 @@ def test_batch_build_equals_streamed_inserts(case):
     points, lower, upper, delta = _batch_cases()[case]
     tree = build_tree(points, lower, upper, delta)
     assert tree.total() == len(points)
-    deep = {"66-bit": 66, "80-bit": 80}
+    deep = {"66-bit": 66, "80-bit": 80, "124-bit": 124}
     if case in deep:
         assert tree.spec.depth == deep[case]
         assert max(tree._levels[-1]) >= 2**63
@@ -292,18 +299,17 @@ def test_mutating_a_drawn_center_leaves_later_draws_unchanged():
         center[:] = -1.0
 
 
-def test_sampling_indexes_only_the_nodes_draws_reach():
-    # 20 000 cells at 80 bits hold over a million nodes; one draw may add
-    # at most one index entry per level it passes
-    points = np.random.default_rng(11).random((20_000, 2))
-    tree = build_tree(points, [0.0, 0.0], [1.0, 1.0], 2.0**-40)
-    assert len(tree) == 20_000 and tree._index == {}
+def test_sampling_caches_only_the_leaves_draws_reach():
+    # 2000 distinct cells; each draw caches at most the one leaf it reached
+    points = np.random.default_rng(11).random((2000, 2))
+    tree = build_tree(points, [0.0, 0.0], [1.0, 1.0], 2.0**-20)
+    assert len(tree) == 2000 and tree._leaves == {}
     rng = np.random.default_rng(12)
     for _ in range(3):
-        before = len(tree._index)
-        tree.sample_cell(rng)
-        assert len(tree._index) - before <= tree.spec.depth
-    assert tree._index
+        before = len(tree._leaves)
+        bits, _ = tree.sample_cell(rng)
+        assert len(tree._leaves) - before <= 1
+        assert int(bits, 2) in tree._leaves
 
 
 def test_coord_indices_of_a_batch_match_its_rows():
