@@ -197,7 +197,8 @@ OPTIONS = {
     "n_train": Opt(_parse_stream_length, "stream length the classifier must "
                    "record (optional check; the row takes N from the file)"),
     "trial": Opt(_parse_int(0), "trial index recorded in the row", 0),
-    "jobs": Opt(_parse_int(1), "parallel worker processes (int >= 1)", 1),
+    "jobs": Opt(_parse_int(1), "parallel worker processes (int >= 1), each "
+                "at one BLAS thread", 1),
 }
 
 _CELL_DEFAULTS = asdict(CellConfig())

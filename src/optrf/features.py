@@ -95,6 +95,12 @@ def sample_tau(kern: GaussianKernel, m: int, rng: np.random.Generator) -> np.nda
     return rng.normal(0.0, kern.tau_sigma, size=(m, kern.dim))
 
 
+# float64 values per piece of a trig table (512 KB, a quarter of a 2 MB L2):
+# every table of rows x n angles is evaluated a piece of rows at a time into
+# buffers reused across pieces
+_PIECE = 1 << 16
+
+
 def _cos_sin_double(h: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
     """Write cos 2h and sin 2h into ``cos`` and ``sin``; ``h`` is overwritten
     with t = tan h.

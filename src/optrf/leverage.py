@@ -31,15 +31,18 @@ subtraction costs about log10((1/lam)/ell_min) digits, two at the usual
 ridge levels, and the result never exceeds 1/lam in floating point, so
 q <= q_max_bound holds exactly.
 
-The rejection sampler draws a batch's proposals and uniforms first, then
-scores them _BATCH rows at a time and stops at the chunk of the m-th
-acceptance; scoring draws nothing, so the stream is that of scoring whole
-batches.
+Every trig table is evaluated in pieces of at most features._PIECE = 2^16
+float64 values, into buffers reused from piece to piece: scoring takes
+2^16 / n rows at a time, so its scratch does not grow with the number of
+frequencies.  The rejection sampler draws a batch's proposals and uniforms
+first, then scores them _BATCH rows at a time and stops at the chunk of the
+m-th acceptance; scoring draws nothing, so the stream is that of scoring
+whole batches.
 
 On the grid sampler's product grid e^{-2 pi i v.x} factors by coordinate:
 the cos/sin tables of each coordinate (cells x n) give the D = 2 rows by
-angle addition, a chunk of rows at a time.  ell(-v) = ell(v) and the grid
-centers are antisymmetric to the bit, so only the first ceil(cells/2)
+angle addition, in pieces of 2^16 trig values.  ell(-v) = ell(v) and the
+grid centers are antisymmetric to the bit, so only the first ceil(cells/2)
 values of the leading coordinate are scored; the rest is their mirror.
 
 The module needs numpy only: the trace-route check on d(lam) is one
@@ -56,8 +59,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SamplerAbort
-from .features import (FeatureSet, GaussianKernel, _cos_sin_double, gram,
-                       sample_tau)
+from .features import (_PIECE, FeatureSet, GaussianKernel, _cos_sin_double,
+                       gram, sample_tau)
 
 # eigenvalues of K/N0 below this are counted as zero rank; more negative
 # than -1e-10 means the Gram computation itself went wrong
@@ -68,8 +71,8 @@ DOF_AGREE_TOL = 1e-8
 # relative error allowed on ell(v) from the eigenpairs left out of the factor
 _TRUNCATION_RTOL = 1e-13
 
-# rows per chunk when evaluating leverage over many frequencies at once; a
-# chunk holds a few (rows x n) float64 trig tables
+# proposals per chunk of the rejection sampler: it scores a chunk, in pieces
+# of features._PIECE trig values, then counts the chunk's acceptances
 _BATCH = 1024
 
 
@@ -194,11 +197,20 @@ def q_max_bound(model: SpectralModel) -> float:
     return (1.0 / model.lam) / model.dof
 
 
-def _ell(model: SpectralModel, c: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """ell from the (rows, n) tables c = cos(2 pi V X^T), s = sin(...).  The
-    subtrahends are nonnegative, so the result never exceeds 1/lam."""
-    pc = c @ model.factor
-    ps = s @ model.factor
+def _pieces(n: int, rows: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds of n rows in the fewest pieces of at most ``rows``,
+    their sizes within one of each other.  No piece is left much shorter
+    than the rest, since BLAS rounds short products differently: numpy
+    multiplies a lone row by gemv, and OpenBLAS hands small products to a
+    separate small-matrix kernel."""
+    count = -(-n // rows)
+    return [(n * i // count, n * (i + 1) // count) for i in range(count)]
+
+
+def _ell(model: SpectralModel, pc: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """ell from the (rows, n) tables c = cos(2 pi V X^T), s = sin(...)
+    multiplied by the factor, pc = c C and ps = s C.  The subtrahends are
+    nonnegative, so the result never exceeds 1/lam."""
     return (1.0 - np.einsum("ij,ij->i", pc, pc)
             - np.einsum("ij,ij->i", ps, ps)) / model.lam
 
@@ -206,13 +218,16 @@ def _ell(model: SpectralModel, c: np.ndarray, s: np.ndarray) -> np.ndarray:
 def unnormalized_leverage(model: SpectralModel, V) -> np.ndarray:
     """ell(v) for each frequency row; averages to d(lam) over v ~ tau."""
     V = np.atleast_2d(np.asarray(V, dtype=float))
+    n = model.rows.shape[0]
+    pieces = _pieces(V.shape[0], max(1, _PIECE // n))
     out = np.empty(V.shape[0])
-    for lo in range(0, V.shape[0], _BATCH):
-        h = V[lo:lo + _BATCH] @ model.rows.T
-        h *= np.pi
-        c, s = np.empty((2, *h.shape))
-        _cos_sin_double(h, c, s)
-        out[lo:lo + _BATCH] = _ell(model, c, s)
+    h, c, s = np.empty((3, max((hi - lo for lo, hi in pieces), default=0), n))
+    for lo, hi in pieces:
+        k = hi - lo
+        np.matmul(V[lo:hi], model.rows.T, out=h[:k])
+        h[:k] *= np.pi
+        _cos_sin_double(h[:k], c[:k], s[:k])
+        out[lo:hi] = _ell(model, c[:k] @ model.factor, s[:k] @ model.factor)
     return out
 
 
@@ -383,32 +398,39 @@ def _grid_score(model: SpectralModel, centers: np.ndarray) -> np.ndarray:
 
     The trig tables are per coordinate, (cells, n) each; the D = 2 rows
     come from cos(a + b) = c1 c2 - s1 s2 and sin(a + b) = s1 c2 + c1 s2,
-    about _BATCH rows at a time into reused buffers, so no cells^D x n
-    table is ever held.  The second half mirrors the first, ell(-v) = ell(v)
-    for ``centers`` antisymmetric to the bit.
+    max(1, _PIECE // (cells^(D-1) n)) leading-coordinate values at a time
+    into buffers reused across pieces, so no cells^D x n table is ever
+    held.  The second half mirrors the first, ell(-v) = ell(v) for
+    ``centers`` antisymmetric to the bit.
     """
     h = np.pi * (centers[None, :, None] * model.rows.T[:, None, :])
     cos, sin = np.empty((2, *h.shape))
     _cos_sin_double(h, cos, sin)
     dim, cells, n = h.shape
     inner = cells ** (dim - 1)
-    step = max(1, _BATCH // inner)
     top = (cells + 1) // 2
+    pieces = _pieces(top, max(1, _PIECE // (inner * n)))
     out = np.empty(cells * inner)
     if dim == 2:
-        cbuf, sbuf, tmp = np.empty((3, step, cells, n))
-    for lo in range(0, top, step):
-        hi = min(lo + step, top)
+        # the stacked cos and sin rows, then a temporary, of the widest piece
+        buf = np.empty(3 * n * cells * max(hi - lo for lo, hi in pieces))
+    for lo, hi in pieces:
         c, s = cos[0, lo:hi], sin[0, lo:hi]
-        if dim == 2:
-            k = len(c)
+        if dim == 1:
+            pc, ps = c @ model.factor, s @ model.factor
+        else:
+            rows = (hi - lo) * cells
+            cs = buf[:2 * rows * n].reshape(2, hi - lo, cells, n)
+            tmp = buf[2 * rows * n:3 * rows * n].reshape(hi - lo, cells, n)
             c1, s1 = c[:, None], s[:, None]
-            c = np.multiply(c1, cos[1], out=cbuf[:k])
-            c -= np.multiply(s1, sin[1], out=tmp[:k])
-            s = np.multiply(s1, cos[1], out=sbuf[:k])
-            s += np.multiply(c1, sin[1], out=tmp[:k])
-            c, s = c.reshape(-1, n), s.reshape(-1, n)
-        out[lo * inner:hi * inner] = _ell(model, c, s)
+            np.multiply(c1, cos[1], out=cs[0])
+            cs[0] -= np.multiply(s1, sin[1], out=tmp)
+            np.multiply(s1, cos[1], out=cs[1])
+            cs[1] += np.multiply(c1, sin[1], out=tmp)
+            # one product for both tables packs the factor once per piece
+            p = cs.reshape(2 * rows, n) @ model.factor
+            pc, ps = p[:rows], p[rows:]
+        out[lo * inner:hi * inner] = _ell(model, pc, ps)
     out[top * inner:] = out[:(cells - top) * inner][::-1]
     return out / model.dof
 

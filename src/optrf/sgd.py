@@ -27,7 +27,8 @@ and turns non-finite as soon as alpha does.  It is recomputed exactly as
 alpha . alpha (which also checks finiteness) whenever it nears or leaves
 the ball, after every projection, and at every 1024-row chunk boundary, so
 its rounding drift stays within one chunk.  Feature rows are built one
-chunk at a time; no N x 2M matrix is ever held.
+chunk at a time into one reused (1024, 2M) buffer, their angles into one
+(1024, M) buffer; no N x 2M matrix is ever held.
 
 Steps run in blocks of up to 64, each solved as one unit.  Over a block
 that starts at step s with coefficients alpha_s, write alpha_(s+j) =
@@ -57,8 +58,8 @@ Prediction uses the amplitude-phase form of the same sum,
 f(x) = sum_k r_k cos(-2 pi v_k.x - p_k) with r_k = hypot(alpha_2k,
 alpha_2k+1) and p_k = atan2(alpha_2k+1, alpha_2k), and takes each cosine
 from the tangent u of the half-angle: r cos 2h = 2r / (1 + u^2) - r.  That
-is one tangent per feature, taken over 1024 rows at a time, so no (n, 2M)
-or (n, M) matrix is held.  The identities are exact, so the two forms
+is one tangent per feature, taken over pieces of about 2^16 / M rows
+(features._PIECE values), so no (n, 2M) or (n, M) matrix is held.  The identities are exact, so the two forms
 agree up to rounding of order eps * sum_k r_k.
 
 Training's BLAS routines (ddot, dscal, daxpy, dgemv, dsyrk, dtrsv) are
@@ -80,8 +81,8 @@ from itertools import islice
 import numpy as np
 
 from .errors import ConfigError, StreamExhausted
-from .features import (FeatureSet, _cos_sin_double, format_feature_set,
-                       parse_feature_set)
+from .features import (_PIECE, FeatureSet, _cos_sin_double,
+                       format_feature_set, parse_feature_set)
 from .fileio import fmt, lines, load, located, parse_header, parse_row
 
 _CHUNK = 1024          # rows per feature-matrix chunk and norm resync
@@ -93,14 +94,22 @@ _CALM = 16             # steps after a projection that run one at a time
 _SCHEDULE_P = 1e-6     # theorem_lambda's exponent p, near the p -> 0 limit
 
 
+def _extension_path(package: str, module: str) -> str:
+    """The file of the extension module at path ``module`` inside
+    ``package``; one location and no fallback, so a missing file is an
+    ImportError that names it."""
+    base = util.find_spec(package).submodule_search_locations[0]
+    path = f"{base}/{module}{machinery.EXTENSION_SUFFIXES[0]}"
+    if not os.path.isfile(path):
+        raise ImportError(f"{package}'s extension {module} is not at {path}")
+    return path
+
+
 def _fblas():
     """The module ``scipy.linalg.blas`` takes ddot, dscal and daxpy from."""
     name = "scipy.linalg._fblas"
     if name not in sys.modules:
-        scipy_dir = util.find_spec("scipy").submodule_search_locations[0]
-        path = f"{scipy_dir}/linalg/_fblas{machinery.EXTENSION_SUFFIXES[0]}"
-        if not os.path.isfile(path):
-            raise ImportError(f"scipy's BLAS extension is not at {path}")
+        path = _extension_path("scipy", "linalg/_fblas")
         spec = util.spec_from_file_location(name, path)
         sys.modules[name] = module = util.module_from_spec(spec)
         spec.loader.exec_module(module)
@@ -222,11 +231,13 @@ def predict(clf: Classifier, X) -> np.ndarray:
     x86-64 host this form took 79.0 ms at 10 000 rows and 256 features
     against 57.5 ms with cos.
 
-    Rows are evaluated 1024 at a time in one reused buffer, so no (n, M)
+    Rows are evaluated in pieces of 2^16 / M rows, rounded down to a
+    multiple of 8, in one reused buffer of about 2^16 values, so no (n, M)
     matrix is held either.  A row's rounding depends on how BLAS blocks
     the two products and splits them between threads, so a row may differ
-    in its last bits from one pass over all of X; up to 1025 rows and for
-    the default test set of 10 000 it does not.  A lone last row joins the
+    in its last bits from one pass over all of X.  At M = 1, 32 and 256 it
+    does not, up to 1025 rows, at one piece, a piece and a row, two pieces
+    and a row, and for the default test set of 10 000.  A lone last row joins the
     piece before it: numpy computes the angles of a single row by gemv,
     which rounds differently from the gemm that computes them for several.
     """
@@ -237,10 +248,13 @@ def predict(clf: Classifier, X) -> np.ndarray:
     amp = np.hypot(alpha[0::2], alpha[1::2])
     amp_twice, amp_sum = 2.0 * amp, amp.sum()
     out = np.empty(n)
-    bounds = [*range(0, n, _CHUNK), n]
-    if n > 1 and n % _CHUNK == 1:
+    # whole groups of 8 rows, as in 1024: gemv takes rows in groups, and
+    # a piece that ends inside one rounds its last rows differently
+    rows = max(8, _PIECE // fs.num_features // 8 * 8)
+    bounds = [*range(0, n, rows), n]
+    if n > 1 and n % rows == 1:
         del bounds[-2]
-    buf = np.empty((min(n, _CHUNK + 1), fs.num_features))
+    buf = np.empty((min(n, rows + 1), fs.num_features))
     for lo, hi in zip(bounds, bounds[1:]):
         h = _half_angles(fs, X[lo:hi], buf[:hi - lo])
         h -= half_phase
@@ -377,6 +391,7 @@ def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
             f"shapes {X.shape} and {y.shape}"
         )
     _check_feature_count(fs, cfg)
+    X = _inputs(fs, X)
     m = cfg.num_features
     mu = cfg.mu
     two_mu = 2.0 * mu
@@ -443,10 +458,15 @@ def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
                 suffix = daxpy(alpha, suffix)
             t += 1
 
+    # every chunk's angles and feature rows reuse these two buffers
+    angles = np.empty((min(n, _CHUNK), m))
+    features = np.empty((min(n, _CHUNK), 2 * m))
     t = 0
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        Phi = feature_matrix(fs, X[lo:hi])
+        Phi = features[:hi - lo]
+        _cos_sin_double(_half_angles(fs, X[lo:hi], angles[:hi - lo]),
+                        Phi[:, 0::2], Phi[:, 1::2])
         # F-ordered: f2py would copy a C-ordered block of rows before each
         # BLAS call, and reads any run of PhiT's columns in place
         PhiT = Phi.T

@@ -95,19 +95,30 @@ class GridSpec:
         if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             raise ConfigError(f"point must have shape ({self.dim},) or "
                               f"(n, {self.dim}), got {x.shape}")
-        # written as "inside" so that NaN, which compares False, is outside
-        inside = (x >= self.lower) & (x <= self.upper)
-        if not inside.all():
-            where = np.argwhere(~inside)[0]
-            bad = int(where[-1])
-            point = f"point {int(where[0])}, " if x.ndim == 2 else ""
+        # one column at a time: against the (D,) bounds numpy would run its
+        # inner loops D elements long
+        rows = np.atleast_2d(x)
+        first = []
+        for j in range(self.dim):
+            col = rows[:, j]
+            # written as "inside" so that NaN, which compares False, is outside
+            inside = (col >= self.lower[j]) & (col <= self.upper[j])
+            if not inside.all():
+                first.append((int(inside.argmin()), j))
+        if first:
+            i, bad = min(first)
+            point = f"point {i}, " if x.ndim == 2 else ""
             raise OutOfBoxError(
-                f"{point}coordinate {bad}: value {x[tuple(where)]} outside "
+                f"{point}coordinate {bad}: value {rows[i, bad]} outside "
                 f"[{self.lower[bad]}, {self.upper[bad]}]"
             )
-        idx = np.floor((x - self.lower) / self.delta).astype(np.int64)
+        idx = np.empty(rows.shape, dtype=np.int64)
+        for j in range(self.dim):
+            col = (rows[:, j] - self.lower[j]) / self.delta
+            idx[:, j] = np.floor(col, out=col)
         # x exactly on the upper face belongs to the last cell
-        return np.minimum(idx, self.cells_per_coord - 1)
+        np.minimum(idx, self.cells_per_coord - 1, out=idx)
+        return idx.reshape(x.shape)
 
     def _leaf_address(self, idx) -> int:
         """Leaf address of one row of cell indices, as a Python int so that

@@ -31,6 +31,7 @@ from .leverage import (
 from .sgd import (
     Classifier,
     TrainConfig,
+    _extension_path,
     predict,
     regularized_empirical_loss,
     theorem_lambda,
@@ -530,12 +531,34 @@ def derive_cell_seed(base_seed: int, *indices: int) -> int:
     return int(np.random.SeedSequence([base_seed, *indices]).generate_state(1)[0])
 
 
+# numpy's and scipy's OpenBLAS, each reached through the file of an extension
+# module linked against it, with the suffix of that build's symbol names
+_OPENBLAS = (("numpy", "_core/_multiarray_umath", "64_"),
+             ("scipy", "linalg/_fblas", ""))
+
+
+def _openblas():
+    """[(library, symbol suffix)] for each OpenBLAS a training process loads."""
+    import ctypes
+
+    return [(ctypes.CDLL(_extension_path(package, module)), suffix)
+            for package, module, suffix in _OPENBLAS]
+
+
+def _one_blas_thread():
+    """Sweep worker initializer: each OpenBLAS runs one thread, so that
+    ``jobs`` workers do not run ``jobs`` threads per CPU between them."""
+    for lib, suffix in _openblas():
+        getattr(lib, f"scipy_openblas_set_num_threads{suffix}")(1)
+
+
 def _run_cells(cells, jobs: int):
     if jobs <= 1:
         return [run_cell(*c) for c in cells]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=jobs,
+                             initializer=_one_blas_thread) as pool:
         return list(pool.map(run_cell, *zip(*cells)))
 
 

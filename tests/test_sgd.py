@@ -14,7 +14,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 import optrf
 from optrf.errors import ConfigError, StreamExhausted
-from optrf.features import FeatureSet, feature_pair
+from optrf.features import _PIECE, FeatureSet, feature_pair
 from optrf.fileio import atomic_write, fmt
 from optrf.leverage import build_spectral_model, sample_optimized_rejection
 from optrf.sgd import (
@@ -134,11 +134,13 @@ def _one_shot_predict(clf, X):
 
 @pytest.mark.parametrize("m", [1, 32, 256])
 def test_predict_in_pieces_is_the_one_shot_formula_to_the_bit(m):
-    # pieces of 1024 rows; n = 1025 ends on a lone row
+    # pieces of 2^16 / M rows, and of 1024 rows before them; n = piece + 1
+    # ends on a lone row
     fs = make_features(m, 2, seed=m, scale=1.0)
     rng = np.random.default_rng(m)
     clf = Classifier(feature_set=fs, alpha=rng.normal(size=2 * m))
-    for n in (0, 1, 1023, 1024, 1025, 10_000):
+    piece = _PIECE // m
+    for n in (0, 1, 1023, 1024, 1025, 10_000, piece, piece + 1, 2 * piece + 1):
         X = rng.normal(size=(n, 2))
         got = predict(clf, X)
         assert got.shape == (n,)
@@ -158,6 +160,24 @@ def test_predict_holds_one_piece_of_angles():
     finally:
         tracemalloc.stop()
     assert peak <= 6e6
+
+
+def test_training_reuses_one_chunk_of_feature_rows():
+    # a 1024 x 512 feature chunk is 4.2 MB and its angles 2.1 MB; building
+    # each chunk anew kept the previous one alive beside them, 10.7 MB
+    fs = make_features(256, 2, seed=1, scale=1.0)
+    rng = np.random.default_rng(2)
+    X = rng.normal(size=(2048, 2))
+    cfg = TrainConfig(lam=0.01, num_features=256, stream_length=2048,
+                      q_min=1.0, f_norm=1.0)
+    train_arrays(fs, X, np.sign(X[:, 0]), cfg)
+    tracemalloc.start()
+    try:
+        train_arrays(fs, X, np.sign(X[:, 0]), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5e6
 
 
 def test_classifier_rejects_wrong_length():

@@ -1,4 +1,8 @@
 import dataclasses
+import importlib.util
+import os
+import re
+from importlib.machinery import EXTENSION_SUFFIXES, ModuleSpec
 
 import numpy as np
 import pytest
@@ -582,6 +586,30 @@ def test_sweep_in_two_workers_equals_one(sphere_task):
     assert len(one) == 8
     assert ([dataclasses.replace(r, wall_ms=0.0) for r in two]
             == [dataclasses.replace(r, wall_ms=0.0) for r in one])
+
+
+def _blas_threads(*_):
+    return [getattr(lib, f"scipy_openblas_get_num_threads{suffix}")()
+            for lib, suffix in tasks._openblas()]
+
+
+def test_sweep_workers_run_one_blas_thread_each(monkeypatch):
+    # each worker reads back its threads in place of running a cell
+    monkeypatch.setattr(tasks, "run_cell", _blas_threads)
+    default = _blas_threads()
+    assert tasks._run_cells([(k,) for k in range(4)], jobs=2) == [[1, 1]] * 4
+    # jobs = 1 runs the cells here, at default threading
+    assert tasks._run_cells([(0,)], jobs=1) == [default]
+
+
+def test_blas_thread_setting_names_a_missing_library(tmp_path, monkeypatch):
+    spec = ModuleSpec("numpy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    path = os.path.join(str(tmp_path), "_core",
+                        "_multiarray_umath" + EXTENSION_SUFFIXES[0])
+    with pytest.raises(ImportError, match=re.escape(path)):
+        tasks._one_blas_thread()
 
 
 def test_spectrum_report_rows(sphere_task):
