@@ -59,8 +59,9 @@ f(x) = sum_k r_k cos(-2 pi v_k.x - p_k) with r_k = hypot(alpha_2k,
 alpha_2k+1) and p_k = atan2(alpha_2k+1, alpha_2k), and takes each cosine
 from the tangent u of the half-angle: r cos 2h = 2r / (1 + u^2) - r.  That
 is one tangent per feature, taken over pieces of about 2^16 / M rows
-(features._PIECE values), so no (n, 2M) or (n, M) matrix is held.  The identities are exact, so the two forms
-agree up to rounding of order eps * sum_k r_k.
+(features._PIECE values), so no (n, 2M) or (n, M) matrix is held.  The
+identities are exact, so the two forms agree up to rounding of order
+eps * sum_k r_k.
 
 Training's BLAS routines (ddot, dscal, daxpy, dgemv, dsyrk, dtrsv) are
 scipy's, loaded on first use from the file of the f2py extension
@@ -237,9 +238,10 @@ def predict(clf: Classifier, X) -> np.ndarray:
     the two products and splits them between threads, so a row may differ
     in its last bits from one pass over all of X.  At M = 1, 32 and 256 it
     does not, up to 1025 rows, at one piece, a piece and a row, two pieces
-    and a row, and for the default test set of 10 000.  A lone last row joins the
-    piece before it: numpy computes the angles of a single row by gemv,
-    which rounds differently from the gemm that computes them for several.
+    and a row, and for the default test set of 10 000.  A lone last row
+    joins the piece before it: numpy computes the angles of a single row by
+    gemv, which rounds differently from the gemm that computes them for
+    several.
     """
     fs, alpha = clf.feature_set, clf.alpha
     X = _inputs(fs, X)

@@ -538,7 +538,7 @@ _OPENBLAS = (("numpy", "_core/_multiarray_umath", "64_"),
 
 
 def _openblas():
-    """[(library, symbol suffix)] for each OpenBLAS a training process loads."""
+    """(library, symbol suffix) for each OpenBLAS that training loads."""
     import ctypes
 
     return [(ctypes.CDLL(_extension_path(package, module)), suffix)

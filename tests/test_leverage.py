@@ -587,9 +587,9 @@ def test_grid_tabulation_holds_no_full_trig_table():
 
 
 def test_grid_tabulation_scores_in_bounded_pieces():
-    # 128 cells: three 8 x 128 x 300 buffers (7.4 MB) per chunk of 1024 rows
-    # gave way to pieces of 2^16 trig values, next to the three (2, 128, 300)
-    # per-coordinate tables (1.8 MB)
+    # 128 cells: pieces of 2^16 trig values beside the three (2, 128, 300)
+    # per-coordinate tables (1.8 MB); chunks of 1024 rows would hold three
+    # 8 x 128 x 300 buffers, 7.4 MB
     pts = np.random.default_rng(34).normal(size=(300, 2))
     model = build_spectral_model(pts, KERN2, 0.01)
     tracemalloc.start()
@@ -602,8 +602,8 @@ def test_grid_tabulation_scores_in_bounded_pieces():
 
 
 def test_leverage_scoring_holds_one_piece_of_tables():
-    # 1024 x 200 angles, cosines and sines were 4.9 MB as one chunk; pieces
-    # of 2^16 / n rows hold a third of that
+    # a piece of 2^16 / n = 327 rows holds 1.6 MB of angles, cosines and
+    # sines; one chunk of 1024 rows would hold 4.9 MB
     model = build_spectral_model(
         np.random.default_rng(35).normal(size=(200, 2)), KERN2, 0.01)
     V = sample_tau(KERN2, 1024, np.random.default_rng(36))

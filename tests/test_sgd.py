@@ -134,8 +134,8 @@ def _one_shot_predict(clf, X):
 
 @pytest.mark.parametrize("m", [1, 32, 256])
 def test_predict_in_pieces_is_the_one_shot_formula_to_the_bit(m):
-    # pieces of 2^16 / M rows, and of 1024 rows before them; n = piece + 1
-    # ends on a lone row
+    # pieces of 2^16 / M rows; n = piece + 1 ends on a lone row, and
+    # n = 1023-1025 straddle 1024 rows
     fs = make_features(m, 2, seed=m, scale=1.0)
     rng = np.random.default_rng(m)
     clf = Classifier(feature_set=fs, alpha=rng.normal(size=2 * m))
@@ -163,8 +163,8 @@ def test_predict_holds_one_piece_of_angles():
 
 
 def test_training_reuses_one_chunk_of_feature_rows():
-    # a 1024 x 512 feature chunk is 4.2 MB and its angles 2.1 MB; building
-    # each chunk anew kept the previous one alive beside them, 10.7 MB
+    # the reused 1024 x 512 feature chunk is 4.2 MB and its angles 2.1 MB;
+    # a fresh chunk built beside the previous one would reach 10.7 MB
     fs = make_features(256, 2, seed=1, scale=1.0)
     rng = np.random.default_rng(2)
     X = rng.normal(size=(2048, 2))
