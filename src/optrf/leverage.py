@@ -39,11 +39,10 @@ first, then scores them _BATCH rows at a time and stops at the chunk of the
 m-th acceptance; scoring draws nothing, so the stream is that of scoring
 whole batches.
 
-On the grid sampler's product grid e^{-2 pi i v.x} factors by coordinate:
-the cos/sin tables of each coordinate (cells x n) give the D = 2 rows by
-angle addition, in pieces of 2^16 trig values.  ell(-v) = ell(v) and the
-grid centers are antisymmetric to the bit, so only the first ceil(cells/2)
-values of the leading coordinate are scored; the rest is their mirror.
+The grid sampler scores its cell centers with the same ``leverage_score``.
+ell(-v) = ell(v) and the grid centers are antisymmetric to the bit, so only
+the first ceil(cells/2) values of the leading coordinate are scored; the
+rest is their mirror.
 
 The module needs numpy only: the trace-route check on d(lam) is one
 ``numpy.linalg.solve``, and the grid sampler's tau masses come from a normal
@@ -371,15 +370,17 @@ def tabulate_optimized_density(model: SpectralModel,
     """Tabulate q(v) tau(v) on the product grid of +-6 tau standard
     deviations, which covers at least 1 - 4e-9 of tau mass.
 
-    Only implemented for dimension <= 2; the grid sampler and its
-    distributional tests build on this shared tabulation.  Cell mass is the
-    exact tau measure of the cell times the leverage density at the cell
-    center.  The edges are antisymmetric to the bit, so mirror cells carry
-    the same tau mass.
+    Dimension <= 2 only, since the table holds cells^D values; the grid
+    sampler and its distributional tests build on this shared tabulation.
+    Cell mass is the exact tau measure of the cell times the leverage
+    density at the cell center.  The edges are antisymmetric to the bit, so
+    mirror cells carry the same tau mass.
     """
     dim = model.kern.dim
     if dim > 2:
         raise ConfigError("grid tabulation only supports dimension <= 2")
+    if cells_per_coord < 2:
+        raise ConfigError(f"cells_per_coord must be >= 2, got {cells_per_coord}")
     sigma = model.kern.tau_sigma
     half = _HALF_WIDTH_SIGMAS * sigma
     e = np.linspace(-half, half, cells_per_coord + 1)
@@ -394,45 +395,20 @@ def tabulate_optimized_density(model: SpectralModel,
 
 
 def _grid_score(model: SpectralModel, centers: np.ndarray) -> np.ndarray:
-    """q(v) on the product grid centers^D (D <= 2), flattened in C order.
+    """q(v) on the product grid centers^D, flattened in C order.
 
-    The trig tables are per coordinate, (cells, n) each; the D = 2 rows
-    come from cos(a + b) = c1 c2 - s1 s2 and sin(a + b) = s1 c2 + c1 s2,
-    max(1, _PIECE // (cells^(D-1) n)) leading-coordinate values at a time
-    into buffers reused across pieces, so no cells^D x n table is ever
-    held.  The second half mirrors the first, ell(-v) = ell(v) for
-    ``centers`` antisymmetric to the bit.
+    The first ceil(cells/2) leading-coordinate values, against every value
+    of the other coordinates, are scored by ``leverage_score``; the rest
+    mirrors them, ell(-v) = ell(v) for ``centers`` antisymmetric to the bit.
     """
-    h = np.pi * (centers[None, :, None] * model.rows.T[:, None, :])
-    cos, sin = np.empty((2, *h.shape))
-    _cos_sin_double(h, cos, sin)
-    dim, cells, n = h.shape
-    inner = cells ** (dim - 1)
-    top = (cells + 1) // 2
-    pieces = _pieces(top, max(1, _PIECE // (inner * n)))
-    out = np.empty(cells * inner)
-    if dim == 2:
-        # the stacked cos and sin rows, then a temporary, of the widest piece
-        buf = np.empty(3 * n * cells * max(hi - lo for lo, hi in pieces))
-    for lo, hi in pieces:
-        c, s = cos[0, lo:hi], sin[0, lo:hi]
-        if dim == 1:
-            pc, ps = c @ model.factor, s @ model.factor
-        else:
-            rows = (hi - lo) * cells
-            cs = buf[:2 * rows * n].reshape(2, hi - lo, cells, n)
-            tmp = buf[2 * rows * n:3 * rows * n].reshape(hi - lo, cells, n)
-            c1, s1 = c[:, None], s[:, None]
-            np.multiply(c1, cos[1], out=cs[0])
-            cs[0] -= np.multiply(s1, sin[1], out=tmp)
-            np.multiply(s1, cos[1], out=cs[1])
-            cs[1] += np.multiply(c1, sin[1], out=tmp)
-            # one product for both tables packs the factor once per piece
-            p = cs.reshape(2 * rows, n) @ model.factor
-            pc, ps = p[:rows], p[rows:]
-        out[lo * inner:hi * inner] = _ell(model, pc, ps)
-    out[top * inner:] = out[:(cells - top) * inner][::-1]
-    return out / model.dof
+    cells = centers.size
+    grids = np.meshgrid(centers[:(cells + 1) // 2],
+                        *[centers] * (model.kern.dim - 1), indexing="ij")
+    half = leverage_score(model, np.stack([g.ravel() for g in grids], axis=1))
+    out = np.empty(cells ** model.kern.dim)
+    out[:half.size] = half
+    out[half.size:] = half[:out.size - half.size][::-1]
+    return out
 
 
 def sample_optimized_grid(

@@ -333,6 +333,16 @@ def test_grid_sampler_matches_rejection(line_model):
     assert tv <= 0.05
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("cells", [1, 0, -1])
+def test_grid_refuses_fewer_than_two_cells(dim, cells):
+    pts = np.random.default_rng(23).normal(size=(10, dim))
+    model = build_spectral_model(pts, GaussianKernel(gamma=1.0, dim=dim), 0.1)
+    with pytest.raises(ConfigError, match="cells_per_coord must be >= 2"):
+        sample_optimized_grid(model, 10, np.random.default_rng(24),
+                              cells_per_coord=cells)
+
+
 def test_grid_sampler_rejects_high_dimension():
     pts = np.random.default_rng(23).normal(size=(10, 3))
     model = build_spectral_model(pts, GaussianKernel(gamma=1.0, dim=3), 0.1)
@@ -503,7 +513,7 @@ def test_trace_dof_matches_the_cholesky_reference(case, oracle_cases):
                - _cholesky_trace_dof(folded, lam)) <= 1e-12
 
 
-# --- the truncated factor and the separable grid --------------------------------
+# --- the truncated factor and the half-scored grid ------------------------------
 
 
 @pytest.mark.parametrize(
@@ -531,8 +541,9 @@ def test_factor_rank_is_the_smallest_that_meets_the_bound(case, oracle_cases):
 def test_grid_tabulation_is_leverage_at_cell_centers(case, dim, cells,
                                                      oracle_cases):
     # the 1-D cases keep the points' first coordinate.  Half the grid is
-    # scored and the other half mirrored, since ell(-v) = ell(v): reversing
-    # the flat C-order index maps each center v to -v
+    # scored by leverage_score itself and the other half mirrored, since
+    # ell(-v) = ell(v): reversing the flat C-order index maps each center v
+    # to -v
     points, kern, lam = oracle_cases[case]
     kern = GaussianKernel(gamma=kern.gamma, dim=dim)
     model = build_spectral_model(points[:, :dim], kern, lam)
@@ -547,6 +558,9 @@ def test_grid_tabulation_is_leverage_at_cell_centers(case, dim, cells,
     np.testing.assert_allclose(tab.probs, want / want.sum(), rtol=1e-12, atol=0)
     assert np.array_equal(tab.probs, tab.probs[::-1])
     assert np.array_equal(V[::-1], -V)
+    scored = (cells + 1) // 2 * cells ** (dim - 1)
+    assert np.array_equal(_grid_score(model, centers)[:scored],
+                          leverage_score(model, V[:scored]))
 
 
 @pytest.mark.parametrize("case", ["distinct-sphere", "count-tree-repeats",
@@ -572,8 +586,8 @@ def test_tabulated_and_sampled_q_never_exceed_the_envelope(case, oracle_cases):
 
 
 def test_grid_tabulation_holds_no_full_trig_table():
-    # 256^2 cells x 300 rows would be 157 MB per float64 trig table; the
-    # separable route keeps per-coordinate tables and one chunk of rows
+    # 256^2 cells x 300 rows would be 157 MB per float64 trig table;
+    # leverage_score holds one piece of 2^16 trig values at a time
     pts = np.random.default_rng(34).normal(size=(300, 2))
     model = build_spectral_model(pts, KERN2, 0.01)
     assert model.rows.shape[0] == 300
@@ -587,9 +601,9 @@ def test_grid_tabulation_holds_no_full_trig_table():
 
 
 def test_grid_tabulation_scores_in_bounded_pieces():
-    # 128 cells: pieces of 2^16 trig values beside the three (2, 128, 300)
-    # per-coordinate tables (1.8 MB); chunks of 1024 rows would hold three
-    # 8 x 128 x 300 buffers, 7.4 MB
+    # 128 cells: pieces of 2^16 trig values (1.5 MB for angles, cosines and
+    # sines) beside the 64 x 128 scored centers; chunks of 1024 rows would
+    # hold three 8 x 128 x 300 buffers, 7.4 MB
     pts = np.random.default_rng(34).normal(size=(300, 2))
     model = build_spectral_model(pts, KERN2, 0.01)
     tracemalloc.start()
