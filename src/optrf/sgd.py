@@ -26,9 +26,12 @@ projection must be checked, feeds the trace's loss and alpha_norm columns,
 and turns non-finite as soon as alpha does.  It is recomputed exactly as
 alpha . alpha (which also checks finiteness) whenever it nears or leaves
 the ball, after every projection, and at every 1024-row chunk boundary, so
-its rounding drift stays within one chunk.  Feature rows are built one
-chunk at a time into one reused (1024, 2M) buffer, their angles into one
-(1024, M) buffer; no N x 2M matrix is ever held.
+its rounding drift stays within one chunk.  Each chunk's angles are one
+product into one reused (1024, M) buffer, since BLAS may round a row's
+angles differently in a shorter product.  Its feature rows go into a
+second reused buffer: the whole (1024, 2M) chunk when blocks may run, and
+pieces of about 2^16 / 2M rows (features._PIECE values) when 2M > 128,
+where every step runs alone.  No N x 2M matrix is ever held.
 
 Steps run in blocks of up to 64, each solved as one unit.  Over a block
 that starts at step s with coefficients alpha_s, write alpha_(s+j) =
@@ -405,8 +408,7 @@ def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
 
     # a = 1 - 2 eta mu rises with t and is <= 0 exactly while t+1 <= 2 eta_c
     decay = 1.0 - etas * two_mu
-    first_block = (n if 2 * m > _BLOCK_WIDTH
-                   else int(np.searchsorted(decay, 0.0, side="right")))
+    first_block = int(np.searchsorted(decay, 0.0, side="right"))
     diag = 0.5 * decay / etas
     coef = m - 2.0 * diag
     neg_inv2eta = -0.5 / etas
@@ -460,15 +462,29 @@ def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
                 suffix = daxpy(alpha, suffix)
             t += 1
 
-    # every chunk's angles and feature rows reuse these two buffers
+    # each chunk's angles are one product, into one reused buffer: BLAS may
+    # round a row's angles differently in a shorter product.  Rows wider
+    # than _BLOCK_WIDTH never run in blocks, so their features are built
+    # from the angles a piece of about _PIECE values at a time, into a
+    # second reused buffer; narrower rows are built a whole chunk at a time,
+    # since one dgemv per chunk applies its blocks' suffix weights
+    wide = 2 * m > _BLOCK_WIDTH
+    piece = max(1, _PIECE // (2 * m)) if wide else _CHUNK
     angles = np.empty((min(n, _CHUNK), m))
-    features = np.empty((min(n, _CHUNK), 2 * m))
+    features = np.empty((min(n, piece), 2 * m))
     t = 0
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
+        h = _half_angles(fs, X[lo:hi], angles[:hi - lo])
+        if wide:
+            for p in range(0, hi - lo, piece):
+                Phi = features[:min(piece, hi - lo - p)]
+                _cos_sin_double(h[p:p + len(Phi)], Phi[:, 0::2], Phi[:, 1::2])
+                steps(Phi, lo + p, lo + p + len(Phi))
+            nsq = _exact_nsq(alpha, t - 1)
+            continue
         Phi = features[:hi - lo]
-        _cos_sin_double(_half_angles(fs, X[lo:hi], angles[:hi - lo]),
-                        Phi[:, 0::2], Phi[:, 1::2])
+        _cos_sin_double(h, Phi[:, 0::2], Phi[:, 1::2])
         # F-ordered: f2py would copy a C-ordered block of rows before each
         # BLAS call, and reads any run of PhiT's columns in place
         PhiT = Phi.T

@@ -8,10 +8,11 @@ the total and where every internal node equals the sum of its two children,
 so adding a cell's count touches exactly ``depth + 1`` nodes and drawing a
 cell proportional to its count walks one root-to-leaf path.
 
-``build_tree`` fills a tree from a whole batch: it quantizes the batch in one
-pass, packs each point's cell indices into one int64 key and finds the
-distinct cells by one sort of those keys, so it costs that sort plus
-``depth + 1`` node updates per distinct cell rather than per point.
+``build_tree`` fills a tree from a whole batch: it packs each point's cell
+indices into one int64 key, a coordinate at a time straight from the
+points, and finds the distinct cells by one sort of those keys, so it costs
+that sort plus ``depth + 1`` node updates per distinct cell rather than per
+point, and holds no (n, D) index matrix.
 ``CountTree.increment`` is the streaming path, one point at a time.
 
 ``CountTree.sample_cell`` draws ``depth`` uniforms per cell and walks one
@@ -92,6 +93,16 @@ class GridSpec:
         """Cell indices of one point (D,) or a batch (n, D), coordinate by
         coordinate; raises if any coordinate leaves the box or is NaN."""
         x = np.asarray(x, dtype=float)
+        rows = self._rows_in_box(x)
+        idx = np.empty(rows.shape, dtype=np.int64)
+        for j in range(self.dim):
+            self._column_indices(rows[:, j], j, idx[:, j])
+        return idx.reshape(x.shape)
+
+    def _rows_in_box(self, x: np.ndarray) -> np.ndarray:
+        """A float point (D,) or batch (n, D) as (n, D) rows; raises
+        ConfigError on any other shape and OutOfBoxError naming the first
+        point outside the box, and its first coordinate outside."""
         if x.ndim not in (1, 2) or x.shape[-1] != self.dim:
             raise ConfigError(f"point must have shape ({self.dim},) or "
                               f"(n, {self.dim}), got {x.shape}")
@@ -112,13 +123,18 @@ class GridSpec:
                 f"{point}coordinate {bad}: value {rows[i, bad]} outside "
                 f"[{self.lower[bad]}, {self.upper[bad]}]"
             )
-        idx = np.empty(rows.shape, dtype=np.int64)
-        for j in range(self.dim):
-            col = (rows[:, j] - self.lower[j]) / self.delta
-            idx[:, j] = np.floor(col, out=col)
+        return rows
+
+    def _column_indices(self, col: np.ndarray, j: int, out: np.ndarray,
+                        scratch: np.ndarray | None = None) -> None:
+        """Cell indices of coordinate j's in-box values ``col``, written
+        into the int64 ``out``; ``scratch``, a float buffer the length of
+        ``col``, holds the quotients when given."""
+        cell = np.subtract(col, self.lower[j], out=scratch)
+        cell /= self.delta
+        out[...] = np.floor(cell, out=cell)
         # x exactly on the upper face belongs to the last cell
-        np.minimum(idx, self.cells_per_coord - 1, out=idx)
-        return idx.reshape(x.shape)
+        np.minimum(out, self.cells_per_coord - 1, out=out)
 
     def _leaf_address(self, idx) -> int:
         """Leaf address of one row of cell indices, as a Python int so that
@@ -226,33 +242,43 @@ def build_tree(points, lower, upper, delta: float) -> CountTree:
     """Quantize a batch of points into a fresh tree over the given box.
 
     Each point's cell indices are packed into one int64 key, column by
-    column as ``key << bits | index``, first coordinate most significant.
-    When the next column would push the key past 63 bits, the keys are
-    first replaced by their ranks, which keeps their order; if the column
-    still does not fit beside them, so is the column.  Two ranks below n
-    fit in 63 bits for any n below 2**31.  One argsort of
-    the keys then lists the distinct cells in address order, with their
-    counts and a row of each, so the build costs one sort of n keys plus
-    ``depth + 1`` node updates per distinct cell, at any depth.  Use
+    column as ``key << bits | index``, first coordinate most significant;
+    a column's indices are computed straight from the points into a buffer
+    reused across columns, so no (n, D) index matrix is held.  When the
+    next column would push the key past 63 bits, the keys are first
+    replaced by their ranks, which keeps their order; if the column still
+    does not fit beside them, so is the column.  Two ranks below n fit in
+    63 bits for any n below 2**31.  One argsort of the keys then lists the
+    distinct cells in address order, each where its run of equal sorted
+    keys starts, and only one point of each distinct cell has its cell
+    indices computed again, for its leaf address.  The build costs one
+    sort of n keys plus ``depth + 1`` node updates per distinct cell, at
+    any depth, and holds three arrays of n values at most.  Use
     ``CountTree.increment`` to stream further points into the tree.
     """
     spec = GridSpec.build(lower, upper, delta)
-    idx = spec.coord_indices(np.atleast_2d(points))
-    bits = spec.bits_per_coord
-    key, width = np.zeros(len(idx), dtype=np.int64), 0
-    for col in idx.T:
+    rows = spec._rows_in_box(np.atleast_2d(np.asarray(points, dtype=float)))
+    n, bits = len(rows), spec.bits_per_coord
+    key, width = np.zeros(n, dtype=np.int64), 0
+    col, scratch = np.empty(n, dtype=np.int64), np.empty(n)
+    for j in range(spec.dim):
+        spec._column_indices(rows[:, j], j, col, scratch)
         if width + bits > 63:
             key, width = _ranks(key)
-        col, col_width = (col, bits) if width + bits <= 63 else _ranks(col)
-        key = (key << col_width) | col
+        packed, col_width = (col, bits) if width + bits <= 63 else _ranks(col)
+        key <<= col_width
+        key |= packed
         width += col_width
+    del col, scratch, packed
     order = np.argsort(key)
-    ordered = key[order]
-    # keys are non-negative, so the first one always differs from -1
-    starts = np.flatnonzero(np.diff(ordered, prepend=-1))
-    counts = np.diff(starts, append=len(key))
+    key = key[order]
+    starts = np.ones(n, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=starts[1:])
+    starts = np.flatnonzero(starts)
+    counts = np.diff(starts, append=n)
     tree = CountTree(spec)
-    for row, count in zip(idx[order[starts]].tolist(), counts.tolist()):
+    cells = spec.coord_indices(rows[order[starts]])
+    for row, count in zip(cells.tolist(), counts.tolist()):
         tree._add(spec._leaf_address(row), count)
     return tree
 

@@ -84,10 +84,18 @@ class SphereDist:
         lengths = np.array([hi - lo for lo, hi in self.arcs])
         cum = np.cumsum(lengths / lengths.sum())
         pick = np.searchsorted(cum, rng.random(n), side="right")
-        pick = np.minimum(pick, len(lengths) - 1)
-        lo = np.array([a[0] for a in self.arcs])[pick]
-        ang = lo + lengths[pick] * rng.random(n)
-        return self.radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
+        np.minimum(pick, len(lengths) - 1, out=pick)
+        # the angle lo + length * u is built in place and its cosine and
+        # sine go straight into the output's columns
+        ang = rng.random(n)
+        ang *= lengths[pick]
+        ang += np.array([a[0] for a in self.arcs])[pick]
+        del pick
+        out = np.empty((n, 2))
+        np.cos(ang, out=out[:, 0])
+        np.sin(ang, out=out[:, 1])
+        out *= self.radius
+        return out
 
 
 @dataclass(frozen=True)

@@ -14,13 +14,15 @@ from scipy.linalg import cho_factor, cho_solve
 
 import optrf
 from optrf.errors import ConfigError, StreamExhausted
-from optrf.features import _PIECE, FeatureSet, feature_pair
+from optrf import sgd
+from optrf.features import _PIECE, FeatureSet, _cos_sin_double, feature_pair
 from optrf.fileio import atomic_write, fmt
 from optrf.leverage import build_spectral_model, sample_optimized_rejection
 from optrf.sgd import (
     _CALM,
     _SCHEDULE_P,
     _fblas,
+    _half_angles,
     Classifier,
     TrainConfig,
     TrainTrace,
@@ -163,8 +165,9 @@ def test_predict_holds_one_piece_of_angles():
 
 
 def test_training_reuses_one_chunk_of_feature_rows():
-    # the reused 1024 x 512 feature chunk is 4.2 MB and its angles 2.1 MB;
-    # a fresh chunk built beside the previous one would reach 10.7 MB
+    # the reused 1024 x 256 angle chunk is 2.1 MB; a fresh chunk of
+    # angles and 1024 x 512 feature rows built beside the previous ones
+    # would reach 10.7 MB
     fs = make_features(256, 2, seed=1, scale=1.0)
     rng = np.random.default_rng(2)
     X = rng.normal(size=(2048, 2))
@@ -178,6 +181,62 @@ def test_training_reuses_one_chunk_of_feature_rows():
     finally:
         tracemalloc.stop()
     assert peak <= 8.5e6
+
+
+def test_wide_training_builds_feature_rows_a_piece_at_a_time():
+    # the chunk's 1024 x 256 angles are 2.1 MB and a piece of 128 x 512
+    # feature rows 0.5 MB; a whole chunk of feature rows would add 4.2 MB
+    fs = make_features(256, 2, seed=1, scale=1.0)
+    X = np.random.default_rng(2).normal(size=(2048, 2))
+    cfg = TrainConfig(lam=0.01, num_features=256, stream_length=2048,
+                      q_min=1.0, f_norm=1.0)
+    train_arrays(fs, X, np.sign(X[:, 0]), cfg)
+    tracemalloc.start()
+    try:
+        train_arrays(fs, X, np.sign(X[:, 0]), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.2e6
+
+
+@pytest.mark.parametrize("m", [65, 100, 256, 300])
+def test_feature_pieces_of_a_chunks_angles_are_its_rows(m):
+    # wide rows are built from pieces of their chunk's angles: the
+    # tangent and double-angle steps are elementwise, so any piece, one
+    # row included, gives the chunk's feature rows to the bit
+    fs = make_features(m, 2, seed=m, scale=1.0)
+    X = np.random.default_rng(m).normal(size=(1024, 2))
+    full = feature_matrix(fs, X)
+    angles = _half_angles(fs, X)
+    piece = _PIECE // (2 * m)
+    for lo, hi in [(0, 8), (8, 16), (8, 17), (16, 25), (0, 1), (511, 512),
+                   (1023, 1024), (0, piece), (piece, 2 * piece + 1),
+                   (1024 - piece, 1024), (0, 1024)]:
+        rows = np.empty((hi - lo, 2 * m))
+        _cos_sin_double(angles[lo:hi].copy(), rows[:, 0::2], rows[:, 1::2])
+        assert np.array_equal(rows, full[lo:hi]), (lo, hi)
+
+
+@pytest.mark.parametrize("m", [65, 300])
+def test_wide_training_in_pieces_equals_whole_chunks(m, monkeypatch):
+    # with _PIECE past 1024 rows every chunk's feature rows are one piece;
+    # N = 2100 ends on a 52-row chunk
+    fs = make_features(m, 2, seed=m, scale=1.0)
+    rng = np.random.default_rng(m)
+    X = rng.normal(size=(2100, 2))
+    y = np.sign(X[:, 0] + 0.3 * rng.normal(size=2100))
+    cfg = TrainConfig(lam=0.01, num_features=m, stream_length=2100,
+                      q_min=1.0, f_norm=1.0)
+    runs = []
+    for piece in (_PIECE, 1 << 30):
+        monkeypatch.setattr(sgd, "_PIECE", piece)
+        runs.append(train_arrays(fs, X, y, cfg, keep_iterates=True))
+    (clf, trace), (clf_whole, trace_whole) = runs
+    assert np.array_equal(clf.alpha, clf_whole.alpha)
+    for name in ("loss", "alpha_norm", "projected", "iterates"):
+        assert np.array_equal(getattr(trace, name),
+                              getattr(trace_whole, name)), name
 
 
 def test_classifier_rejects_wrong_length():

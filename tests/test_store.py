@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -287,6 +289,33 @@ def test_batch_build_equals_streamed_inserts(case):
         assert tree.spec.depth == deep[case]
         assert max(tree._levels[-1]) >= 2**63
     _assert_same_tree(tree, _streamed(points, lower, upper, delta))
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_empty_batch_builds_an_empty_tree(dim):
+    tree = build_tree(np.empty((0, dim)), [0.0] * dim, [1.0] * dim, 0.25)
+    assert tree.spec.dim == dim
+    assert tree.total() == 0 and len(tree) == 0 and tree.node_count() == 0
+    assert tree.leaf_distribution() == []
+    assert tree.expanded_points().shape == (0, dim)
+    with pytest.raises(ConfigError, match="empty tree"):
+        tree.sample_cell(np.random.default_rng(0))
+
+
+def test_batch_build_holds_no_index_matrix():
+    # 2^16 points on the unit circle at pitch 1/64: a column of cell
+    # indices, its quotients and the keys are 0.5 MB each; the (n, 2)
+    # index matrix and whole-array temporaries took 3.7 MB
+    ang = np.random.default_rng(13).uniform(0.0, 2 * np.pi, 1 << 16)
+    points = np.stack([np.cos(ang), np.sin(ang)], axis=1)
+    build_tree(points, [-1.0, -1.0], [1.0, 1.0], 1 / 64)
+    tracemalloc.start()
+    try:
+        build_tree(points, [-1.0, -1.0], [1.0, 1.0], 1 / 64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5e6
 
 
 def test_mutating_a_drawn_center_leaves_later_draws_unchanged():
