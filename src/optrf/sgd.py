@@ -462,12 +462,10 @@ def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
                 suffix = daxpy(alpha, suffix)
             t += 1
 
-    # each chunk's angles are one product, into one reused buffer: BLAS may
-    # round a row's angles differently in a shorter product.  Rows wider
-    # than _BLOCK_WIDTH never run in blocks, so their features are built
-    # from the angles a piece of about _PIECE values at a time, into a
-    # second reused buffer; narrower rows are built a whole chunk at a time,
-    # since one dgemv per chunk applies its blocks' suffix weights
+    # a chunk's angles are one product, as BLAS may round a row's angles
+    # differently in a shorter one.  Rows too wide for blocks are built from
+    # them a piece of about _PIECE values at a time; narrower rows a whole
+    # chunk at a time, for the chunk's one dgemv of suffix weights
     wide = 2 * m > _BLOCK_WIDTH
     piece = max(1, _PIECE // (2 * m)) if wide else _CHUNK
     angles = np.empty((min(n, _CHUNK), m))

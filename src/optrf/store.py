@@ -125,12 +125,11 @@ class GridSpec:
             )
         return rows
 
-    def _column_indices(self, col: np.ndarray, j: int, out: np.ndarray,
-                        scratch: np.ndarray | None = None) -> None:
+    def _column_indices(self, col: np.ndarray, j: int,
+                        out: np.ndarray) -> None:
         """Cell indices of coordinate j's in-box values ``col``, written
-        into the int64 ``out``; ``scratch``, a float buffer the length of
-        ``col``, holds the quotients when given."""
-        cell = np.subtract(col, self.lower[j], out=scratch)
+        into the int64 ``out``."""
+        cell = col - self.lower[j]
         cell /= self.delta
         out[...] = np.floor(cell, out=cell)
         # x exactly on the upper face belongs to the last cell
@@ -242,39 +241,38 @@ def build_tree(points, lower, upper, delta: float) -> CountTree:
     """Quantize a batch of points into a fresh tree over the given box.
 
     Each point's cell indices are packed into one int64 key, column by
-    column as ``key << bits | index``, first coordinate most significant;
-    a column's indices are computed straight from the points into a buffer
-    reused across columns, so no (n, D) index matrix is held.  When the
-    next column would push the key past 63 bits, the keys are first
-    replaced by their ranks, which keeps their order; if the column still
-    does not fit beside them, so is the column.  Two ranks below n fit in
-    63 bits for any n below 2**31.  One argsort of the keys then lists the
-    distinct cells in address order, each where its run of equal sorted
-    keys starts, and only one point of each distinct cell has its cell
-    indices computed again, for its leaf address.  The build costs one
-    sort of n keys plus ``depth + 1`` node updates per distinct cell, at
-    any depth, and holds three arrays of n values at most.  Use
-    ``CountTree.increment`` to stream further points into the tree.
+    column as ``key << bits | index``, first coordinate most significant.
+    A column's indices are computed from the points into one reused
+    buffer, so no (n, D) index matrix is held.  When the next column would
+    push the key past 63 bits, the keys are first replaced by their ranks,
+    which keeps their order; if the column still does not fit beside them,
+    so is the column.  Two ranks below n fit in 63 bits for any n below
+    2**31.  One argsort of the keys then lists the distinct cells in
+    address order, with their counts and one point of each, whose cell
+    indices give the leaf address.  The build costs one sort of n keys
+    plus ``depth + 1`` node updates per distinct cell, at any depth, and
+    holds at most three arrays of n values.  Use ``CountTree.increment``
+    to stream further points into the tree.
     """
     spec = GridSpec.build(lower, upper, delta)
     rows = spec._rows_in_box(np.atleast_2d(np.asarray(points, dtype=float)))
     n, bits = len(rows), spec.bits_per_coord
     key, width = np.zeros(n, dtype=np.int64), 0
-    col, scratch = np.empty(n, dtype=np.int64), np.empty(n)
+    col = np.empty(n, dtype=np.int64)
     for j in range(spec.dim):
-        spec._column_indices(rows[:, j], j, col, scratch)
+        spec._column_indices(rows[:, j], j, col)
         if width + bits > 63:
             key, width = _ranks(key)
         packed, col_width = (col, bits) if width + bits <= 63 else _ranks(col)
         key <<= col_width
         key |= packed
         width += col_width
-    del col, scratch, packed
+    del col, packed
     order = np.argsort(key)
     key = key[order]
-    starts = np.ones(n, dtype=bool)
-    np.not_equal(key[1:], key[:-1], out=starts[1:])
-    starts = np.flatnonzero(starts)
+    new_cell = np.ones(n, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=new_cell[1:])
+    starts = np.flatnonzero(new_cell)
     counts = np.diff(starts, append=n)
     tree = CountTree(spec)
     cells = spec.coord_indices(rows[order[starts]])

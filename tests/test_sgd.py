@@ -13,8 +13,8 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 import optrf
-from optrf.errors import ConfigError, StreamExhausted
 from optrf import sgd
+from optrf.errors import ConfigError, StreamExhausted
 from optrf.features import _PIECE, FeatureSet, _cos_sin_double, feature_pair
 from optrf.fileio import atomic_write, fmt
 from optrf.leverage import build_spectral_model, sample_optimized_rejection

@@ -95,7 +95,8 @@ def _one_line_arc_sample(dist, n, rng):
     cum = np.cumsum(lengths / lengths.sum())
     pick = np.minimum(np.searchsorted(cum, rng.random(n), side="right"),
                       len(lengths) - 1)
-    ang = np.array([a[0] for a in dist.arcs])[pick] + lengths[pick] * rng.random(n)
+    ang = (np.array([a[0] for a in dist.arcs])[pick]
+           + lengths[pick] * rng.random(n))
     return dist.radius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
 
 
