@@ -26,12 +26,14 @@ projection must be checked, feeds the trace's loss and alpha_norm columns,
 and turns non-finite as soon as alpha does.  It is recomputed exactly as
 alpha . alpha (which also checks finiteness) whenever it nears or leaves
 the ball, after every projection, and at every 1024-row chunk boundary, so
-its rounding drift stays within one chunk.  Each chunk's angles are one
-product into one reused (1024, M) buffer, since BLAS may round a row's
-angles differently in a shorter product.  Its feature rows go into a
-second reused buffer: the whole (1024, 2M) chunk when blocks may run, and
-pieces of about 2^16 / 2M rows (features._PIECE values) when 2M > 128,
-where every step runs alone.  No N x 2M matrix is ever held.
+its rounding drift stays within one chunk.  Angles are products with the
+frequencies padded to a multiple of 8 (_FREQ_ALIGN), which give a row the
+same bits in any product of 2 or more rows and under any BLAS thread
+count.  When blocks may run, a chunk's angles and (1024, 2M) feature rows
+are built whole; when 2M > 128, where every step runs alone, both are built
+a piece of about 2^16 / 2M rows (features._PIECE values, whole groups of 8
+rows) at a time.  Each goes into a buffer reused across chunks and
+pieces, and no N x 2M matrix is ever held.
 
 Steps run in blocks of up to 64, each solved as one unit.  Over a block
 that starts at step s with coefficients alpha_s, write alpha_(s+j) =
@@ -178,13 +180,45 @@ def _inputs(fs: FeatureSet, X) -> np.ndarray:
     return X
 
 
-def _half_angles(fs: FeatureSet, X, out=None) -> np.ndarray:
-    """The (n, M) half-phases -pi x_i . v_k of checked inputs X, in ``out``
-    when given.  fl(2 pi) = 2 fl(pi), so twice each is the phase
-    -2 pi x_i . v_k to the bit."""
-    ang = np.matmul(X, fs.freqs.T, out=out)
+_FREQ_ALIGN = 8
+"""Angle products take the frequencies padded with zero rows to a multiple
+of this many.  OpenBLAS's dgemm rounds the last M mod 8 columns of a row by
+where its blocking and thread split put the row, when M mod 8 is 4 to 7 and
+M >= 196 at D >= 2; padded, a row's angles are the same bits in any product
+of 2 or more rows and under one thread or two (OpenBLAS 0.3.31 on x86-64,
+D = 1 to 3, M up to 1023).  A single row goes to gemv, which rounds
+differently still.  A single frequency is not padded: numpy multiplies by
+it with gemv, which already gives every row the same bits in any product,
+and the padded gemm would round its angles differently."""
+
+
+def _angle_operand(fs: FeatureSet) -> np.ndarray:
+    """The (D, W) right operand of the angle product: the frequencies as
+    columns, then zero columns up to W, M rounded up to a multiple of
+    _FREQ_ALIGN (W = 1 at M = 1)."""
+    m, d = fs.freqs.shape
+    width = m if m == 1 else -(-m // _FREQ_ALIGN) * _FREQ_ALIGN
+    operand = np.zeros((d, width))
+    operand[:, :m] = fs.freqs.T
+    return operand
+
+
+def _half_angles(fs: FeatureSet, X, out=None, operand=None) -> np.ndarray:
+    """The (n, M) half-phases -pi x_i . v_k of checked inputs X.
+
+    ``operand`` is ``_angle_operand(fs)``, built here when not given.  The
+    product is taken against all W of its columns, into ``out`` when given
+    (an (n, W) buffer), and the result is the view of its first M
+    columns; the rest of ``out`` holds zeros, so elementwise passes may run
+    over its whole rows, which numpy takes faster than the view's.
+    fl(2 pi) = 2 fl(pi), so twice each half-phase is the phase
+    -2 pi x_i . v_k to the bit.
+    """
+    if operand is None:
+        operand = _angle_operand(fs)
+    ang = np.matmul(X, operand, out=out)
     ang *= -np.pi
-    return ang
+    return ang[:, :fs.num_features]
 
 
 def feature_matrix(fs: FeatureSet, X) -> np.ndarray:
@@ -237,36 +271,45 @@ def predict(clf: Classifier, X) -> np.ndarray:
 
     Rows are evaluated in pieces of 2^16 / M rows, rounded down to a
     multiple of 8, in one reused buffer of about 2^16 values, so no (n, M)
-    matrix is held either.  A row's rounding depends on how BLAS blocks
-    the two products and splits them between threads, so a row may differ
-    in its last bits from one pass over all of X.  At M = 1, 32 and 256 it
-    does not, up to 1025 rows, at one piece, a piece and a row, two pieces
-    and a row, and for the default test set of 10 000.  A lone last row
-    joins the piece before it: numpy computes the angles of a single row by
-    gemv, which rounds differently from the gemm that computes them for
-    several.
+    matrix is held either.  The angle product pads the frequencies to a
+    multiple of _FREQ_ALIGN, so a row's angles are the same bits in any
+    piece of 2 or more rows and under any thread count (verified with
+    OpenBLAS 0.3.31 on x86-64).  A lone last row joins the piece before
+    it: numpy computes the angles of a single row by gemv, which rounds
+    differently from the gemm that computes them for several.  What still
+    ties a row's prediction to the rows around it is the amplitude dgemv:
+    OpenBLAS splits its rows between threads and takes them in groups
+    whose kernels round differently.  At M = 1, 32 and 256 a row matches
+    one pass over all of X up to 1025 rows, at one piece, a piece and a
+    row, two pieces and a row, and for the default test set of 10 000.
     """
     fs, alpha = clf.feature_set, clf.alpha
+    m = fs.num_features
     X = _inputs(fs, X)
     n = X.shape[0]
-    half_phase = 0.5 * np.arctan2(alpha[1::2], alpha[0::2])
+    operand = _angle_operand(fs)
+    # the passes run over whole padded rows; the padded columns' zero
+    # angles stay finite and the amplitude product leaves them out
+    half_phase = np.zeros(operand.shape[1])
+    half_phase[:m] = 0.5 * np.arctan2(alpha[1::2], alpha[0::2])
     amp = np.hypot(alpha[0::2], alpha[1::2])
     amp_twice, amp_sum = 2.0 * amp, amp.sum()
     out = np.empty(n)
     # whole groups of 8 rows, as in 1024: gemv takes rows in groups, and
     # a piece that ends inside one rounds its last rows differently
-    rows = max(8, _PIECE // fs.num_features // 8 * 8)
+    rows = max(8, _PIECE // m // 8 * 8)
     bounds = [*range(0, n, rows), n]
     if n > 1 and n % rows == 1:
         del bounds[-2]
-    buf = np.empty((min(n, rows + 1), fs.num_features))
+    buf = np.empty((min(n, rows + 1), operand.shape[1]))
     for lo, hi in zip(bounds, bounds[1:]):
-        h = _half_angles(fs, X[lo:hi], buf[:hi - lo])
+        h = buf[:hi - lo]
+        _half_angles(fs, X[lo:hi], h, operand)
         h -= half_phase
         u = np.tan(h, out=h)
         u *= u
         u += 1.0
-        np.matmul(np.reciprocal(u, out=u), amp_twice, out=out[lo:hi])
+        np.matmul(np.reciprocal(u, out=u)[:, :m], amp_twice, out=out[lo:hi])
         out[lo:hi] -= amp_sum
     return out
 
@@ -462,25 +505,33 @@ def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
                 suffix = daxpy(alpha, suffix)
             t += 1
 
-    # a chunk's angles are one product, as BLAS may round a row's angles
-    # differently in a shorter one.  Rows too wide for blocks are built from
-    # them a piece of about _PIECE values at a time; narrower rows a whole
-    # chunk at a time, for the chunk's one dgemv of suffix weights
+    # rows too wide for blocks take their angles and feature rows a piece
+    # of about _PIECE feature values at a time, into buffers reused across
+    # pieces; narrower rows a whole chunk at a time, for the chunk's one
+    # dgemv of suffix weights.  Pieces are whole groups of 8 rows, and a
+    # chunk's last piece has an even count, as N does, so none is a lone
+    # row, whose angles gemv would round differently
     wide = 2 * m > _BLOCK_WIDTH
-    piece = max(1, _PIECE // (2 * m)) if wide else _CHUNK
-    angles = np.empty((min(n, _CHUNK), m))
-    features = np.empty((min(n, piece), 2 * m))
+    piece = max(8, _PIECE // (2 * m) // 8 * 8) if wide else _CHUNK
+    operand = _angle_operand(fs)
+    width = operand.shape[1]
+    angles = np.empty((min(n, piece), width))
+    # a piece's feature rows are whole padded rows, as in predict; each
+    # step reads the first 2M values of its row
+    features = np.empty((min(n, piece), 2 * (width if wide else m)))
     t = 0
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
-        h = _half_angles(fs, X[lo:hi], angles[:hi - lo])
         if wide:
-            for p in range(0, hi - lo, piece):
-                Phi = features[:min(piece, hi - lo - p)]
-                _cos_sin_double(h[p:p + len(Phi)], Phi[:, 0::2], Phi[:, 1::2])
-                steps(Phi, lo + p, lo + p + len(Phi))
+            for p in range(lo, hi, piece):
+                q = min(p + piece, hi)
+                h, Phi = angles[:q - p], features[:q - p]
+                _half_angles(fs, X[p:q], h, operand)
+                _cos_sin_double(h, Phi[:, 0::2], Phi[:, 1::2])
+                steps(Phi[:, :2 * m], p, q)
             nsq = _exact_nsq(alpha, t - 1)
             continue
+        h = _half_angles(fs, X[lo:hi], angles[:hi - lo], operand)
         Phi = features[:hi - lo]
         _cos_sin_double(h, Phi[:, 0::2], Phi[:, 1::2])
         # F-ordered: f2py would copy a C-ordered block of rows before each

@@ -150,7 +150,8 @@ def test_predict_in_pieces_is_the_one_shot_formula_to_the_bit(m):
 
 
 def test_predict_holds_one_piece_of_angles():
-    # one 1024 x 256 buffer is 2.1 MB; all 10 000 rows at once are 20.5 MB
+    # one piece of 256 x 256 angles is 0.5 MB; all 10 000 rows at once are
+    # 20.5 MB
     fs = make_features(256, 2, seed=1, scale=1.0)
     clf = Classifier(feature_set=fs,
                      alpha=np.random.default_rng(2).normal(size=512))
@@ -165,9 +166,9 @@ def test_predict_holds_one_piece_of_angles():
 
 
 def test_training_reuses_one_chunk_of_feature_rows():
-    # the reused 1024 x 256 angle chunk is 2.1 MB; a fresh chunk of
-    # angles and 1024 x 512 feature rows built beside the previous ones
-    # would reach 10.7 MB
+    # the reused 128 x 256 angle piece is 0.26 MB; a fresh chunk of
+    # 1024 x 256 angles and 1024 x 512 feature rows built beside the
+    # previous ones would reach 10.7 MB
     fs = make_features(256, 2, seed=1, scale=1.0)
     rng = np.random.default_rng(2)
     X = rng.normal(size=(2048, 2))
@@ -184,7 +185,7 @@ def test_training_reuses_one_chunk_of_feature_rows():
 
 
 def test_wide_training_builds_feature_rows_a_piece_at_a_time():
-    # the chunk's 1024 x 256 angles are 2.1 MB and a piece of 128 x 512
+    # a piece of 128 x 256 angles is 0.26 MB and a piece of 128 x 512
     # feature rows 0.5 MB; a whole chunk of feature rows would add 4.2 MB
     fs = make_features(256, 2, seed=1, scale=1.0)
     X = np.random.default_rng(2).normal(size=(2048, 2))
@@ -200,11 +201,42 @@ def test_wide_training_builds_feature_rows_a_piece_at_a_time():
     assert peak <= 3.2e6
 
 
+def test_wide_training_takes_its_angles_a_piece_at_a_time():
+    # a piece of 128 x 256 angles is 0.26 MB and of 128 x 512 feature rows
+    # 0.5 MB; one 1024 x 256 angle product per chunk would add 1.8 MB
+    fs = make_features(256, 2, seed=1, scale=1.0)
+    X = np.random.default_rng(2).normal(size=(2048, 2))
+    cfg = TrainConfig(lam=0.01, num_features=256, stream_length=2048,
+                      q_min=1.0, f_norm=1.0)
+    train_arrays(fs, X, np.sign(X[:, 0]), cfg)
+    tracemalloc.start()
+    try:
+        train_arrays(fs, X, np.sign(X[:, 0]), cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5e6
+
+
+@pytest.mark.parametrize("m", [1, 8, 196, 199, 255, 300, 301, 517])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_angles_of_a_few_rows_are_their_rows_of_a_long_product(m, d):
+    # M mod 8 = 4 to 7 at M >= 196 is where OpenBLAS rounded a row's last
+    # angles by its place in an unpadded product; a single row is gemv's
+    fs = make_features(m, d, seed=m + d, scale=1.0)
+    X = np.random.default_rng(m).normal(size=(1024, d))
+    full = _half_angles(fs, X)
+    for lo, rows in [(0, 2), (5, 3), (10, 7), (101, 9), (0, 100), (517, 100),
+                     (1022, 2), (1017, 7)]:
+        got = _half_angles(fs, X[lo:lo + rows])
+        assert np.array_equal(got, full[lo:lo + rows]), (lo, rows)
+
+
 @pytest.mark.parametrize("m", [65, 100, 256, 300])
 def test_feature_pieces_of_a_chunks_angles_are_its_rows(m):
-    # wide rows are built from pieces of their chunk's angles: the
-    # tangent and double-angle steps are elementwise, so any piece, one
-    # row included, gives the chunk's feature rows to the bit
+    # the tangent and double-angle steps are elementwise, so the feature
+    # rows of any piece of a chunk's angles, one row included, are the
+    # chunk's feature rows to the bit
     fs = make_features(m, 2, seed=m, scale=1.0)
     X = np.random.default_rng(m).normal(size=(1024, 2))
     full = feature_matrix(fs, X)
@@ -218,7 +250,7 @@ def test_feature_pieces_of_a_chunks_angles_are_its_rows(m):
         assert np.array_equal(rows, full[lo:hi]), (lo, hi)
 
 
-@pytest.mark.parametrize("m", [65, 300])
+@pytest.mark.parametrize("m", [65, 300, 301, 517])
 def test_wide_training_in_pieces_equals_whole_chunks(m, monkeypatch):
     # with _PIECE past 1024 rows every chunk's feature rows are one piece;
     # N = 2100 ends on a 52-row chunk

@@ -617,7 +617,7 @@ def test_sweep_over_feature_counts_pairs_modes(sphere_task):
     assert [r.m for r in recs] == [2, 2, 4, 4]
 
 
-def test_sweep_in_two_workers_equals_one(sphere_task):
+def test_sweep_in_two_workers_equals_one(sphere_task, cluster_task):
     # M = 300 trains by single steps, M = 8 in blocks
     cfg = CellConfig(n_unlabeled=50, n_test=500)
     one, two = (sweep_error_vs_M(sphere_task, [8, 300], n=512, trials=2,
@@ -626,6 +626,13 @@ def test_sweep_in_two_workers_equals_one(sphere_task):
     assert len(one) == 8
     assert ([dataclasses.replace(r, wall_ms=0.0) for r in two]
             == [dataclasses.replace(r, wall_ms=0.0) for r in one])
+    # workers run one BLAS thread, and at M = 517 (M mod 8 = 5) an angle
+    # product without padding rounded by the thread count
+    cell = (cluster_task, "optimized", 517, 2048, 0, 12345,
+            CellConfig(n_test=2000))
+    one, two = (tasks._run_cells([cell], jobs=jobs) for jobs in (1, 2))
+    assert (dataclasses.replace(two[0], wall_ms=0.0)
+            == dataclasses.replace(one[0], wall_ms=0.0))
 
 
 def _blas_threads(*_):
