@@ -192,31 +192,30 @@ it with gemv, which already gives every row the same bits in any product,
 and the padded gemm would round its angles differently."""
 
 
-def _angle_operand(fs: FeatureSet) -> np.ndarray:
-    """The (D, W) right operand of the angle product: the frequencies as
-    columns, then zero columns up to W, M rounded up to a multiple of
-    _FREQ_ALIGN (W = 1 at M = 1)."""
+def _padded_freqs(fs: FeatureSet) -> np.ndarray:
+    """The (W, D) frequency matrix padded with zero rows to W, M rounded up
+    to a multiple of _FREQ_ALIGN (W = 1 at M = 1)."""
     m, d = fs.freqs.shape
     width = m if m == 1 else -(-m // _FREQ_ALIGN) * _FREQ_ALIGN
-    operand = np.zeros((d, width))
-    operand[:, :m] = fs.freqs.T
-    return operand
+    padded = np.zeros((width, d))
+    padded[:m] = fs.freqs
+    return padded
 
 
-def _half_angles(fs: FeatureSet, X, out=None, operand=None) -> np.ndarray:
+def _half_angles(fs: FeatureSet, X, out=None, freqs=None) -> np.ndarray:
     """The (n, M) half-phases -pi x_i . v_k of checked inputs X.
 
-    ``operand`` is ``_angle_operand(fs)``, built here when not given.  The
-    product is taken against all W of its columns, into ``out`` when given
+    ``freqs`` is ``_padded_freqs(fs)``, built here when not given.  The
+    product is taken against all W of its rows, into ``out`` when given
     (an (n, W) buffer), and the result is the view of its first M
     columns; the rest of ``out`` holds zeros, so elementwise passes may run
     over its whole rows, which numpy takes faster than the view's.
     fl(2 pi) = 2 fl(pi), so twice each half-phase is the phase
     -2 pi x_i . v_k to the bit.
     """
-    if operand is None:
-        operand = _angle_operand(fs)
-    ang = np.matmul(X, operand, out=out)
+    if freqs is None:
+        freqs = _padded_freqs(fs)
+    ang = np.matmul(X, freqs.T, out=out)
     ang *= -np.pi
     return ang[:, :fs.num_features]
 
@@ -287,10 +286,10 @@ def predict(clf: Classifier, X) -> np.ndarray:
     m = fs.num_features
     X = _inputs(fs, X)
     n = X.shape[0]
-    operand = _angle_operand(fs)
+    freqs = _padded_freqs(fs)
     # the passes run over whole padded rows; the padded columns' zero
     # angles stay finite and the amplitude product leaves them out
-    half_phase = np.zeros(operand.shape[1])
+    half_phase = np.zeros(freqs.shape[0])
     half_phase[:m] = 0.5 * np.arctan2(alpha[1::2], alpha[0::2])
     amp = np.hypot(alpha[0::2], alpha[1::2])
     amp_twice, amp_sum = 2.0 * amp, amp.sum()
@@ -301,10 +300,10 @@ def predict(clf: Classifier, X) -> np.ndarray:
     bounds = [*range(0, n, rows), n]
     if n > 1 and n % rows == 1:
         del bounds[-2]
-    buf = np.empty((min(n, rows + 1), operand.shape[1]))
+    buf = np.empty((min(n, rows + 1), freqs.shape[0]))
     for lo, hi in zip(bounds, bounds[1:]):
         h = buf[:hi - lo]
-        _half_angles(fs, X[lo:hi], h, operand)
+        _half_angles(fs, X[lo:hi], h, freqs)
         h -= half_phase
         u = np.tan(h, out=h)
         u *= u
@@ -513,8 +512,8 @@ def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
     # row, whose angles gemv would round differently
     wide = 2 * m > _BLOCK_WIDTH
     piece = max(8, _PIECE // (2 * m) // 8 * 8) if wide else _CHUNK
-    operand = _angle_operand(fs)
-    width = operand.shape[1]
+    freqs = _padded_freqs(fs)
+    width = freqs.shape[0]
     angles = np.empty((min(n, piece), width))
     # a piece's feature rows are whole padded rows, as in predict; each
     # step reads the first 2M values of its row
@@ -526,12 +525,12 @@ def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
             for p in range(lo, hi, piece):
                 q = min(p + piece, hi)
                 h, Phi = angles[:q - p], features[:q - p]
-                _half_angles(fs, X[p:q], h, operand)
+                _half_angles(fs, X[p:q], h, freqs)
                 _cos_sin_double(h, Phi[:, 0::2], Phi[:, 1::2])
                 steps(Phi[:, :2 * m], p, q)
             nsq = _exact_nsq(alpha, t - 1)
             continue
-        h = _half_angles(fs, X[lo:hi], angles[:hi - lo], operand)
+        h = _half_angles(fs, X[lo:hi], angles[:hi - lo], freqs)
         Phi = features[:hi - lo]
         _cos_sin_double(h, Phi[:, 0::2], Phi[:, 1::2])
         # F-ordered: f2py would copy a C-ordered block of rows before each
