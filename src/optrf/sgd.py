@@ -515,8 +515,9 @@ def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
     freqs = _padded_freqs(fs)
     width = freqs.shape[0]
     angles = np.empty((min(n, piece), width))
-    # a piece's feature rows are whole padded rows, as in predict; each
-    # step reads the first 2M values of its row
+    # wide pieces fill whole padded rows, as predict does, and a step reads
+    # the first 2M values of its row; a chunk's rows stay 2M wide, for the
+    # block calls' in-place reads
     features = np.empty((min(n, piece), 2 * (width if wide else m)))
     t = 0
     for lo in range(0, n, _CHUNK):
