@@ -73,10 +73,18 @@ scipy's, loaded on first use from the file of the f2py extension
 ``scipy.linalg._fblas`` alone: importing ``scipy.linalg`` for them costs a
 process about 0.2 s more.  Only training loads scipy; the ridge oracle is
 one ``numpy.linalg.solve``.
+
+Each OpenBLAS the package loads runs one thread: numpy's from the import of
+this module on, scipy's from the package's load of ``_fblas``.  At the
+sizes the package meets (spectral models of up to about 320 distinct rows)
+a second thread saves nothing and spins between calls on a CPU of its own,
+and it rounds the eigensolve differently, so one thread in every process
+gives sweep workers and the calling process the same spectral models.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import sys
@@ -111,6 +119,27 @@ def _extension_path(package: str, module: str) -> str:
     return path
 
 
+# numpy's and scipy's OpenBLAS, each reached through the file of an extension
+# module linked against it, with the suffix of that build's symbol names
+_OPENBLAS = {"numpy": ("_core/_multiarray_umath", "64_"),
+             "scipy": ("linalg/_fblas", "")}
+
+
+def _openblas(package: str):
+    """(library, symbol suffix) of the OpenBLAS that ``package`` links."""
+    module, suffix = _OPENBLAS[package]
+    return ctypes.CDLL(_extension_path(package, module)), suffix
+
+
+def _one_thread(package: str) -> None:
+    """Run ``package``'s OpenBLAS at one thread."""
+    lib, suffix = _openblas(package)
+    getattr(lib, f"scipy_openblas_set_num_threads{suffix}")(1)
+
+
+_one_thread("numpy")
+
+
 def _fblas():
     """The module ``scipy.linalg.blas`` takes ddot, dscal and daxpy from."""
     name = "scipy.linalg._fblas"
@@ -119,6 +148,7 @@ def _fblas():
         spec = util.spec_from_file_location(name, path)
         sys.modules[name] = module = util.module_from_spec(spec)
         spec.loader.exec_module(module)
+        _one_thread("scipy")
     return sys.modules[name]
 
 

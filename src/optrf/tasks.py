@@ -31,7 +31,8 @@ from .leverage import (
 from .sgd import (
     Classifier,
     TrainConfig,
-    _extension_path,
+    _OPENBLAS,
+    _one_thread,
     predict,
     regularized_empirical_loss,
     theorem_lambda,
@@ -539,25 +540,12 @@ def derive_cell_seed(base_seed: int, *indices: int) -> int:
     return int(np.random.SeedSequence([base_seed, *indices]).generate_state(1)[0])
 
 
-# numpy's and scipy's OpenBLAS, each reached through the file of an extension
-# module linked against it, with the suffix of that build's symbol names
-_OPENBLAS = (("numpy", "_core/_multiarray_umath", "64_"),
-             ("scipy", "linalg/_fblas", ""))
-
-
-def _openblas():
-    """(library, symbol suffix) for each OpenBLAS that training loads."""
-    import ctypes
-
-    return [(ctypes.CDLL(_extension_path(package, module)), suffix)
-            for package, module, suffix in _OPENBLAS]
-
-
 def _one_blas_thread():
-    """Sweep worker initializer: each OpenBLAS runs one thread, so that
-    ``jobs`` workers do not run ``jobs`` threads per CPU between them."""
-    for lib, suffix in _openblas():
-        getattr(lib, f"scipy_openblas_set_num_threads{suffix}")(1)
+    """Sweep worker initializer: each OpenBLAS runs one thread from the
+    start.  Importing the package sets numpy's, and training sets scipy's
+    when it loads it, but a worker may load scipy's before it trains."""
+    for package in _OPENBLAS:
+        _one_thread(package)
 
 
 def _run_cells(cells, jobs: int):

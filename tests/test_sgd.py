@@ -784,6 +784,36 @@ def test_training_before_and_after_importing_scipy_linalg_agree():
     assert runs[0] == runs[1]
 
 
+_THREADS_AFTER_IMPORT_AND_TRAINING = (
+    "import numpy as np\n"
+    "import optrf\n"
+    "from optrf import sgd\n"
+    "def threads(package):\n"
+    "    lib, suffix = sgd._openblas(package)\n"
+    "    return getattr(lib, f'scipy_openblas_get_num_threads{suffix}')()\n"
+    "print(threads('numpy'))\n"
+    "rng = np.random.default_rng(42)\n"
+    "fs = optrf.FeatureSet(freqs=rng.normal(size=(16, 2)), "
+    "mode='conventional')\n"
+    "X = rng.normal(size=(256, 2))\n"
+    "cfg = optrf.TrainConfig(lam=0.01, num_features=16, stream_length=256, "
+    "q_min=1.0, f_norm=1.0)\n"
+    "optrf.train_arrays(fs, X, np.sign(X[:, 0]), cfg)\n"
+    "print(threads('scipy'))\n"
+)
+
+
+def test_each_openblas_runs_one_thread_once_loaded():
+    # numpy's from the import of optrf on, scipy's from training's load of
+    # _fblas on, whatever the host's CPU count
+    src = str(Path(optrf.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", _THREADS_AFTER_IMPORT_AND_TRAINING],
+        check=True, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.split() == ["1", "1"]
+
+
 # --- ridge oracle ------------------------------------------------------------
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from optrf import tasks
+from optrf import sgd, tasks
 from optrf.errors import CertificationError, ConfigError
 from optrf.fileio import atomic_write
 from optrf.features import GaussianKernel
@@ -637,7 +637,7 @@ def test_sweep_in_two_workers_equals_one(sphere_task, cluster_task):
 
 def _blas_threads(*_):
     return [getattr(lib, f"scipy_openblas_get_num_threads{suffix}")()
-            for lib, suffix in tasks._openblas()]
+            for lib, suffix in map(sgd._openblas, sgd._OPENBLAS)]
 
 
 def test_sweep_workers_run_one_blas_thread_each(monkeypatch):
@@ -645,8 +645,36 @@ def test_sweep_workers_run_one_blas_thread_each(monkeypatch):
     monkeypatch.setattr(tasks, "run_cell", _blas_threads)
     default = _blas_threads()
     assert tasks._run_cells([(k,) for k in range(4)], jobs=2) == [[1, 1]] * 4
-    # jobs = 1 runs the cells here, at default threading
+    # jobs = 1 runs the cells here, at this process's threads: numpy's is
+    # one since the import, scipy's once training has loaded it
     assert tasks._run_cells([(0,)], jobs=1) == [default]
+
+
+def _sphere_features(n0):
+    """Rejection-sampled features of the reference sphere task, built from
+    N0 = n0 unlabeled points at seed n0 and the guarantee's lambda."""
+    task = make_sphere_task()
+    model = build_spectral_model(
+        gen_inputs(task, n0, np.random.default_rng(n0)), task.kern,
+        resolve_lambda(task, CellConfig()))
+    fs, _ = sample_optimized_rejection(model, 32, np.random.default_rng(1))
+    return model.factor.shape[1], fs.freqs, fs.leverage_values
+
+
+@pytest.mark.parametrize("n0", [196, 300])
+def test_features_built_here_equal_a_sweep_workers(n0):
+    # the eigensolve rounds by the BLAS thread count: with this process at
+    # two threads, the truncation rank read 37 here against 38 in a worker
+    # at N0 = 300, and at 196 the ranks agreed but the leverage values did not
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=1,
+                             initializer=tasks._one_blas_thread) as pool:
+        there = pool.submit(_sphere_features, n0).result()
+    here = _sphere_features(n0)
+    assert here[0] == there[0]
+    for a, b in zip(here[1:], there[1:]):
+        assert np.array_equal(a, b)
 
 
 def test_blas_thread_setting_names_a_missing_library(tmp_path, monkeypatch):
