@@ -645,8 +645,8 @@ def test_sweep_workers_run_one_blas_thread_each(monkeypatch):
     monkeypatch.setattr(tasks, "run_cell", _blas_threads)
     default = _blas_threads()
     assert tasks._run_cells([(k,) for k in range(4)], jobs=2) == [[1, 1]] * 4
-    # jobs = 1 runs the cells here, at this process's threads: numpy's is
-    # one since the import, scipy's once training has loaded it
+    # jobs = 1 runs the cells here, at this process's threads, which the
+    # test modules' own scipy imports may have loaded before training did
     assert tasks._run_cells([(0,)], jobs=1) == [default]
 
 
