@@ -6,13 +6,15 @@ ridge leverage scores and the optimized feature sampler (``leverage``), the
 streaming SGD learner (``sgd``), synthetic task generators and experiment
 sweeps (``tasks``), plus a command line front end (``cli``).
 
-Every process that imports the package runs each OpenBLAS it loads at one
+Every process that imports the package runs each OpenBLAS it uses at one
 thread: importing ``optrf`` sets numpy's OpenBLAS to one thread, and
-training sets scipy's when it loads it.  There is no option to change this.
-Up to a few hundred distinct unlabeled points, whole operations run as
-fast at one thread; a second thread spins on a CPU of its own between calls
-and rounds the spectral model's eigensolve differently, so one setting
-everywhere gives in-process runs and sweep workers the same results.
+training sets scipy's the first time it runs.  Up to a few hundred distinct
+unlabeled points, whole operations run as fast at one thread; a second
+thread spins on a CPU of its own between calls and rounds the spectral
+model's eigensolve differently, so one setting everywhere gives in-process
+runs and sweep workers the same results.  An ``OPENBLAS_NUM_THREADS`` set
+in the environment stands instead (sweep workers still run one thread),
+and a numpy or scipy built against another BLAS keeps its own count.
 """
 
 from .errors import (

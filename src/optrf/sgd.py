@@ -78,17 +78,20 @@ scipy's, loaded on first use from the file of the f2py extension
 process about 0.2 s more.  Only training loads scipy; the ridge oracle is
 one ``numpy.linalg.solve``.
 
-Each OpenBLAS the package loads runs one thread: numpy's from the import of
-this module on, scipy's from the package's load of ``_fblas``.  Up to a
-few hundred distinct unlabeled points, whole operations run as fast at one
-thread; a second thread spins between calls on a CPU of its own and rounds
-the eigensolve differently, so one thread in every process gives sweep
-workers and the calling process the same spectral models.
+Each OpenBLAS the package uses runs one thread: numpy's from the import of
+this module on, scipy's from the first call of ``_fblas``, whoever loaded
+it.  Up to a few hundred distinct unlabeled points, whole operations run as
+fast at one thread; a second thread spins between calls on a CPU of its own
+and rounds the eigensolve differently, so one thread in every process gives
+sweep workers and the calling process the same spectral models.  An
+``OPENBLAS_NUM_THREADS`` set in the environment is left to stand, and a
+numpy or scipy built against another BLAS keeps its own thread count.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
 import math
 import os
 import sys
@@ -136,25 +139,41 @@ def _openblas(package: str):
 
 
 def _one_thread(package: str) -> None:
-    """Run ``package``'s OpenBLAS at one thread."""
+    """Run ``package``'s OpenBLAS at one thread; an ImportError names a
+    missing file, and another BLAS lacks the setter (AttributeError)."""
     lib, suffix = _openblas(package)
     set_threads = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
     set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
     set_threads(1)
 
 
-_one_thread("numpy")
+@functools.cache
+def _thread_policy(package: str) -> None:
+    """The package's thread count for ``package``'s OpenBLAS, set once per
+    process: one thread, unless ``OPENBLAS_NUM_THREADS`` already sets it.
+    A build whose library or setter is not where ``_one_thread`` looks
+    keeps the count it has."""
+    if os.environ.get("OPENBLAS_NUM_THREADS"):
+        return
+    try:
+        _one_thread(package)
+    except (ImportError, OSError, AttributeError):
+        pass
+
+
+_thread_policy("numpy")
 
 
 def _fblas():
-    """The module ``scipy.linalg.blas`` takes ddot, dscal and daxpy from."""
+    """The module ``scipy.linalg.blas`` takes ddot, dscal and daxpy from,
+    with scipy's OpenBLAS at the package's thread count."""
     name = "scipy.linalg._fblas"
     if name not in sys.modules:
         path = _extension_path("scipy", "linalg/_fblas")
         spec = util.spec_from_file_location(name, path)
         sys.modules[name] = module = util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        _one_thread("scipy")
+    _thread_policy("scipy")
     return sys.modules[name]
 
 

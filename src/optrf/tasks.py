@@ -542,8 +542,9 @@ def derive_cell_seed(base_seed: int, *indices: int) -> int:
 
 def _one_blas_thread():
     """Sweep worker initializer: each OpenBLAS runs one thread from the
-    start.  Importing the package sets numpy's, and training sets scipy's
-    when it loads it, but a worker may load scipy's before it trains."""
+    start, whatever ``OPENBLAS_NUM_THREADS`` says, so that ``jobs`` workers
+    do not run ``jobs`` threads per CPU between them.  A library or setter
+    that is not where the package looks is an error here."""
     for package in _OPENBLAS:
         _one_thread(package)
 

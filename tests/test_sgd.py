@@ -784,14 +784,34 @@ def test_training_before_and_after_importing_scipy_linalg_agree():
     assert runs[0] == runs[1]
 
 
-_THREADS_AFTER_IMPORT_AND_TRAINING = (
+_BLAS_THREADS = (
+    "import ctypes, importlib.util, sys, types\n"
+    "from importlib.machinery import EXTENSION_SUFFIXES, ModuleSpec\n"
     "import numpy as np\n"
+    "mode, where = sys.argv[1:]\n"
+    "if mode == 'scipy-first':\n"
+    "    import scipy.linalg\n"
+    "def library(package, module):\n"
+    "    base = importlib.util.find_spec(package).submodule_search_locations[0]\n"
+    "    return ctypes.CDLL(f'{base}/{module}{EXTENSION_SUFFIXES[0]}')\n"
+    "getters = [\n"
+    "    library('numpy', '_core/_multiarray_umath')"
+    ".scipy_openblas_get_num_threads64_,\n"
+    "    library('scipy', 'linalg/_fblas').scipy_openblas_get_num_threads]\n"
+    "print(*[get() for get in getters])\n"
+    "find_spec, CDLL = importlib.util.find_spec, ctypes.CDLL\n"
+    "if mode == 'elsewhere':\n"
+    "    spec = ModuleSpec('numpy', None, is_package=True)\n"
+    "    spec.submodule_search_locations = [where]\n"
+    "    importlib.util.find_spec = (\n"
+    "        lambda name: spec if name == 'numpy' else find_spec(name))\n"
+    "    ctypes.CDLL = (lambda path, *a: types.SimpleNamespace()\n"
+    "                   if '_fblas' in path else CDLL(path, *a))\n"
+    "if mode == 'unloadable':\n"
+    "    def unloadable(path, *a):\n"
+    "        raise OSError(path)\n"
+    "    ctypes.CDLL = unloadable\n"
     "import optrf\n"
-    "from optrf import sgd\n"
-    "def threads(package):\n"
-    "    lib, suffix = sgd._openblas(package)\n"
-    "    return getattr(lib, f'scipy_openblas_get_num_threads{suffix}')()\n"
-    "print(threads('numpy'))\n"
     "rng = np.random.default_rng(42)\n"
     "fs = optrf.FeatureSet(freqs=rng.normal(size=(16, 2)), "
     "mode='conventional')\n"
@@ -799,19 +819,43 @@ _THREADS_AFTER_IMPORT_AND_TRAINING = (
     "cfg = optrf.TrainConfig(lam=0.01, num_features=16, stream_length=256, "
     "q_min=1.0, f_norm=1.0)\n"
     "optrf.train_arrays(fs, X, np.sign(X[:, 0]), cfg)\n"
-    "print(threads('scipy'))\n"
+    "print(*[get() for get in getters])\n"
 )
 
 
-def test_each_openblas_runs_one_thread_once_loaded():
-    # numpy's from the import of optrf on, scipy's from training's load of
-    # _fblas on, whatever the host's CPU count
+def _blas_threads(mode, where, **env):
+    """numpy's and scipy's OpenBLAS thread counts in a fresh process, as
+    it starts and after importing optrf and training once."""
     src = str(Path(optrf.__file__).resolve().parents[1])
+    env = {**{k: v for k, v in os.environ.items()
+              if k != "OPENBLAS_NUM_THREADS"}, "PYTHONPATH": src, **env}
     out = subprocess.run(
-        [sys.executable, "-c", _THREADS_AFTER_IMPORT_AND_TRAINING],
-        check=True, capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": src}).stdout
-    assert out.split() == ["1", "1"]
+        [sys.executable, "-c", _BLAS_THREADS, mode, str(where)], check=True,
+        capture_output=True, text=True, timeout=120, env=env).stdout
+    return [line.split() for line in out.splitlines()]
+
+
+@pytest.mark.parametrize("mode", ["train-first", "scipy-first"])
+def test_each_openblas_runs_one_thread_once_loaded(mode, tmp_path):
+    # numpy's from the import of optrf on, scipy's from training on, also
+    # where scipy.linalg loaded scipy's library first, whatever the host's
+    # CPU count
+    assert _blas_threads(mode, tmp_path)[1] == ["1", "1"]
+
+
+def test_an_explicit_openblas_thread_count_stands(tmp_path):
+    before, after = _blas_threads("train-first", tmp_path,
+                                  OPENBLAS_NUM_THREADS="2")
+    assert after == before
+
+
+@pytest.mark.parametrize("mode", ["elsewhere", "unloadable"])
+def test_import_and_training_run_where_the_blas_setter_is_not_found(
+        mode, tmp_path):
+    # another numpy or scipy build: a missing extension file, a library
+    # without the setter, or one ctypes cannot load leaves the count as is
+    before, after = _blas_threads(mode, tmp_path)
+    assert after == before
 
 
 # --- ridge oracle ------------------------------------------------------------

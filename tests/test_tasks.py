@@ -645,8 +645,8 @@ def test_sweep_workers_run_one_blas_thread_each(monkeypatch):
     monkeypatch.setattr(tasks, "run_cell", _blas_threads)
     default = _blas_threads()
     assert tasks._run_cells([(k,) for k in range(4)], jobs=2) == [[1, 1]] * 4
-    # jobs = 1 runs the cells here, at this process's threads, which the
-    # test modules' own scipy imports may have loaded before training did
+    # jobs = 1 runs the cells here, at this process's threads: scipy's reads
+    # one only once something here has trained
     assert tasks._run_cells([(0,)], jobs=1) == [default]
 
 
@@ -661,6 +661,8 @@ def _sphere_features(n0):
     return model.factor.shape[1], fs.freqs, fs.leverage_values
 
 
+@pytest.mark.skipif(os.environ.get("OPENBLAS_NUM_THREADS", "1") != "1",
+                    reason="OPENBLAS_NUM_THREADS sets this process's count")
 @pytest.mark.parametrize("n0", [196, 300])
 def test_features_built_here_equal_a_sweep_workers(n0):
     # the eigensolve rounds by the BLAS thread count: with this process at
