@@ -23,7 +23,7 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from . import store
+from . import leverage, store
 from .errors import CertificationError, ConfigError, SamplerAbort
 from .features import load_feature_set, format_feature_set
 from .fileio import (append_csv_row, atomic_write, csv_is_new, fmt, lines,
@@ -329,6 +329,9 @@ def _cmd_sample_features(v):
         _check_out(v["diagnostics"], header=_DIAGNOSTICS_HEADER)
     cfg = _cell_config(v)
     task = load_task(v["task"])
+    if v["mode"] == "optimized" and v["sampler"] == "grid":
+        with located("--grid-cells"):
+            leverage._check_grid_cells(v["grid_cells"], task.dim)
     rng_unlab, rng_feat = (
         np.random.default_rng(s)
         for s in np.random.SeedSequence(v["seed"]).spawn(2)

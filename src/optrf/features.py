@@ -95,10 +95,28 @@ def sample_tau(kern: GaussianKernel, m: int, rng: np.random.Generator) -> np.nda
     return rng.normal(0.0, kern.tau_sigma, size=(m, kern.dim))
 
 
-# float64 values per piece of a trig table (512 KB, a quarter of a 2 MB L2):
-# every table of rows x n angles is evaluated a piece of rows at a time into
-# buffers reused across pieces
+# float64 values per piece of a trig table (512 KB, a quarter of a 2 MB L2),
+# and the most rows a piece holds: every table of rows x n angles is
+# evaluated a piece of rows at a time into buffers reused across pieces
 _PIECE = 1 << 16
+_PIECE_ROWS = 1024
+
+
+def _row_pieces(n: int, width: int) -> list[tuple[int, int]]:
+    """(lo, hi) bounds that cut n table rows of ``width`` values into pieces.
+
+    A piece holds P rows, P the largest power of two from 8 to _PIECE_ROWS
+    with P * width <= _PIECE (8 when none is), and a lone last row joins
+    the piece before it.  BLAS takes rows in groups of up to 8 and rounds a
+    group that a piece cuts short differently, and numpy multiplies a
+    single row by gemv, which rounds differently from gemm; so a row's bits
+    do not depend on where its piece starts.  P divides _PIECE_ROWS, so
+    cutting n rows whole or a _PIECE_ROWS-row slice at a time, with a lone
+    last row joined to the slice before it, gives the same pieces.
+    """
+    rows = min(_PIECE_ROWS, 1 << (max(8, _PIECE // width).bit_length() - 1))
+    starts = range(0, n - 1 if n > 1 and n % rows == 1 else n, rows)
+    return list(zip(starts, [*starts[1:], n]))
 
 
 def _cos_sin_double(h: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:

@@ -31,18 +31,23 @@ subtraction costs about log10((1/lam)/ell_min) digits, two at the usual
 ridge levels, and the result never exceeds 1/lam in floating point, so
 q <= q_max_bound holds exactly.
 
-Every trig table is evaluated in pieces of at most features._PIECE = 2^16
-float64 values, into buffers reused from piece to piece: scoring takes
-2^16 / n rows at a time, so its scratch does not grow with the number of
-frequencies.  The rejection sampler draws a batch's proposals and uniforms
-first, then scores them _BATCH rows at a time and stops at the chunk of the
-m-th acceptance; scoring draws nothing, so the stream is that of scoring
-whole batches.
+Scoring cuts its frequencies by the package's one piece rule,
+``features._row_pieces``: pieces of a power of two of rows, from 8 to
+_BATCH = 1024, holding at most 2^16 trig values of the n distinct rows
+(8 rows when those hold more), and a lone last row joined to the piece
+before it.  Its trig tables go into buffers reused from piece to piece, so
+scratch does not grow with the number of frequencies.  The rejection
+sampler draws a batch's proposals and uniforms first, then scores them
+_BATCH rows at a time, a lone last row joined to the chunk before it, and
+stops at the chunk of the m-th acceptance.  Scoring draws nothing, and
+every piece size divides _BATCH, so the stream, the counts and the
+leverage values are those of scoring whole batches, on any BLAS kernels.
 
 The grid sampler scores its cell centers with the same ``leverage_score``.
-ell(-v) = ell(v) and the grid centers are antisymmetric to the bit, so only
-the first ceil(cells/2) values of the leading coordinate are scored; the
-rest is their mirror.
+ell(-v) = ell(v), and the grid centers are antisymmetric to the bit, so
+reversing the flat C-order index of the grid maps each center v to -v:
+only the first ceil(N/2) of the N centers are scored, and the rest is
+their mirror.
 
 The module needs numpy only: the trace-route check on d(lam) is one
 ``numpy.linalg.solve``, and the grid sampler's tau masses come from a normal
@@ -58,8 +63,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, SamplerAbort
-from .features import (_PIECE, FeatureSet, GaussianKernel, _cos_sin_double,
-                       gram, sample_tau)
+from .features import (_PIECE_ROWS, FeatureSet, GaussianKernel,
+                       _cos_sin_double, _row_pieces, gram, sample_tau)
 
 # eigenvalues of K/N0 below this are counted as zero rank; more negative
 # than -1e-10 means the Gram computation itself went wrong
@@ -70,9 +75,9 @@ DOF_AGREE_TOL = 1e-8
 # relative error allowed on ell(v) from the eigenpairs left out of the factor
 _TRUNCATION_RTOL = 1e-13
 
-# proposals per chunk of the rejection sampler: it scores a chunk, in pieces
-# of features._PIECE trig values, then counts the chunk's acceptances
-_BATCH = 1024
+# proposals per chunk of the rejection sampler: it scores a chunk, in
+# features._row_pieces, then counts the chunk's acceptances
+_BATCH = _PIECE_ROWS
 
 
 @dataclass(frozen=True)
@@ -196,16 +201,6 @@ def q_max_bound(model: SpectralModel) -> float:
     return (1.0 / model.lam) / model.dof
 
 
-def _pieces(n: int, rows: int) -> list[tuple[int, int]]:
-    """(lo, hi) bounds of n rows in the fewest pieces of at most ``rows``,
-    their sizes within one of each other.  No piece is left much shorter
-    than the rest, since BLAS rounds short products differently: numpy
-    multiplies a lone row by gemv, and OpenBLAS hands small products to a
-    separate small-matrix kernel."""
-    count = -(-n // rows)
-    return [(n * i // count, n * (i + 1) // count) for i in range(count)]
-
-
 def _ell(model: SpectralModel, pc: np.ndarray, ps: np.ndarray) -> np.ndarray:
     """ell from the (rows, n) tables c = cos(2 pi V X^T), s = sin(...)
     multiplied by the factor, pc = c C and ps = s C.  The subtrahends are
@@ -218,7 +213,7 @@ def unnormalized_leverage(model: SpectralModel, V) -> np.ndarray:
     """ell(v) for each frequency row; averages to d(lam) over v ~ tau."""
     V = np.atleast_2d(np.asarray(V, dtype=float))
     n = model.rows.shape[0]
-    pieces = _pieces(V.shape[0], max(1, _PIECE // n))
+    pieces = _row_pieces(V.shape[0], n)
     out = np.empty(V.shape[0])
     h, c, s = np.empty((3, max((hi - lo for lo, hi in pieces), default=0), n))
     for lo, hi in pieces:
@@ -296,14 +291,15 @@ def sample_optimized_rejection(
         batch = min(1 << 20, max(1024, math.ceil(1.5 * (m - accepted) / exp_rate)))
         V = sample_tau(model.kern, batch, rng)
         u = rng.random(batch)
-        # scoring draws nothing, so the batch is scored _BATCH rows at a
-        # time, the chunks leverage_score uses, up to the m-th acceptance
-        for lo in range(0, batch, _BATCH):
-            v = V[lo:lo + _BATCH]
+        # scoring draws nothing, so the batch is scored a chunk of _BATCH
+        # rows at a time up to the m-th acceptance; one-value rows make
+        # pieces of _BATCH rows, a lone last row joined to the one before
+        for lo, hi in _row_pieces(batch, 1):
+            v = V[lo:hi]
             q = leverage_score(model, v)
             if bottom_raised:
                 q = q / 2.0 + 0.5
-            hits = np.flatnonzero(u[lo:lo + _BATCH] * env < q)[:m - accepted]
+            hits = np.flatnonzero(u[lo:hi] * env < q)[:m - accepted]
             accepted += hits.size
             freqs.append(v[hits])
             qs.append(q[hits])
@@ -365,22 +361,39 @@ class GridTabulation:
     probs: np.ndarray
 
 
+# most cells a grid table may hold, 2048 per coordinate at D = 2.
+# Tabulating and sampling peak at about 40 bytes per cell (tracemalloc at
+# 512 and 1024 cells, D = 2), so the tables stay near 160 MB; 20001 cells
+# per coordinate would take 16 GB
+_GRID_TABLE_CELLS = 1 << 22
+
+
+def _check_grid_cells(cells_per_coord: int, dim: int) -> None:
+    """ConfigError unless 2 <= cells_per_coord and cells_per_coord^dim
+    is within the grid table budget."""
+    if cells_per_coord < 2:
+        raise ConfigError(f"cells_per_coord must be >= 2, got {cells_per_coord}")
+    if cells_per_coord ** dim > _GRID_TABLE_CELLS:
+        raise ConfigError(f"expected at most {_GRID_TABLE_CELLS} grid cells, "
+                          f"got {cells_per_coord}^{dim}")
+
+
 def tabulate_optimized_density(model: SpectralModel,
                                cells_per_coord: int) -> GridTabulation:
     """Tabulate q(v) tau(v) on the product grid of +-6 tau standard
     deviations, which covers at least 1 - 4e-9 of tau mass.
 
-    Dimension <= 2 only, since the table holds cells^D values; the grid
-    sampler and its distributional tests build on this shared tabulation.
-    Cell mass is the exact tau measure of the cell times the leverage
-    density at the cell center.  The edges are antisymmetric to the bit, so
-    mirror cells carry the same tau mass.
+    Dimension <= 2 only, and at most _GRID_TABLE_CELLS = 2^22 cells, since
+    the table holds cells^D values; the grid sampler and its distributional
+    tests build on this shared tabulation.  Cell mass is the exact tau
+    measure of the cell times the leverage density at the cell center.  The
+    edges are antisymmetric to the bit, so mirror cells carry the same tau
+    mass.
     """
     dim = model.kern.dim
     if dim > 2:
         raise ConfigError("grid tabulation only supports dimension <= 2")
-    if cells_per_coord < 2:
-        raise ConfigError(f"cells_per_coord must be >= 2, got {cells_per_coord}")
+    _check_grid_cells(cells_per_coord, dim)
     sigma = model.kern.tau_sigma
     half = _HALF_WIDTH_SIGMAS * sigma
     e = np.linspace(-half, half, cells_per_coord + 1)
@@ -397,18 +410,17 @@ def tabulate_optimized_density(model: SpectralModel,
 def _grid_score(model: SpectralModel, centers: np.ndarray) -> np.ndarray:
     """q(v) on the product grid centers^D, flattened in C order.
 
-    The first ceil(cells/2) leading-coordinate values, against every value
-    of the other coordinates, are scored by ``leverage_score``; the rest
-    mirrors them, ell(-v) = ell(v) for ``centers`` antisymmetric to the bit.
+    ``centers`` is antisymmetric to the bit, so reversing the flat index
+    maps each grid point v to -v, and ell(-v) = ell(v): the first
+    ceil(N/2) of the N points are scored by ``leverage_score``, and the
+    rest is their mirror.
     """
-    cells = centers.size
-    grids = np.meshgrid(centers[:(cells + 1) // 2],
+    size = centers.size ** model.kern.dim
+    grids = np.meshgrid(centers[:(centers.size + 1) // 2],
                         *[centers] * (model.kern.dim - 1), indexing="ij")
-    half = leverage_score(model, np.stack([g.ravel() for g in grids], axis=1))
-    out = np.empty(cells ** model.kern.dim)
-    out[:half.size] = half
-    out[half.size:] = half[:out.size - half.size][::-1]
-    return out
+    V = np.stack([g.ravel() for g in grids], axis=1)[:(size + 1) // 2]
+    half = leverage_score(model, V)
+    return np.concatenate((half, half[:size // 2][::-1]))
 
 
 def sample_optimized_grid(

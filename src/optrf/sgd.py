@@ -31,9 +31,10 @@ frequencies padded to a multiple of 8 (_FREQ_ALIGN), which give a row the
 same bits in any product of 2 or more rows and under any BLAS thread
 count.  When blocks may run, a chunk's angles and (1024, 2M) feature rows
 are built whole; when 2M > 128, where every step runs alone, both are built
-a piece of about 2^16 / 2M rows (features._PIECE values, whole groups of 8
-rows) at a time.  Each goes into a buffer reused across chunks and
-pieces, and no N x 2M matrix is ever held.
+a piece at a time, by the package's one piece rule
+(``features._row_pieces``: a power of two of rows, from 8 to 1024, with at
+most 2^16 feature values, so 128 rows at M = 256).  Each goes into a buffer
+reused across chunks and pieces, and no N x 2M matrix is ever held.
 
 Steps run in blocks of up to 64, each solved as one unit.  Over a block
 that starts at step s with coefficients alpha_s, write alpha_(s+j) =
@@ -67,8 +68,8 @@ Prediction uses the amplitude-phase form of the same sum,
 f(x) = sum_k r_k cos(-2 pi v_k.x - p_k) with r_k = hypot(alpha_2k,
 alpha_2k+1) and p_k = atan2(alpha_2k+1, alpha_2k), and takes each cosine
 from the tangent u of the half-angle: r cos 2h = 2r / (1 + u^2) - r.  That
-is one tangent per feature, taken over pieces of about 2^16 / M rows
-(features._PIECE values), so no (n, 2M) or (n, M) matrix is held.  The
+is one tangent per feature, taken over the pieces of ``features._row_pieces``
+(at most 2^16 angles each), so no (n, 2M) or (n, M) matrix is held.  The
 identities are exact, so the two forms agree up to rounding of order
 eps * sum_k r_k.
 
@@ -102,11 +103,11 @@ from itertools import islice
 import numpy as np
 
 from .errors import ConfigError, StreamExhausted
-from .features import (_PIECE, FeatureSet, _cos_sin_double,
-                       format_feature_set, parse_feature_set)
+from .features import (_PIECE_ROWS, FeatureSet, _cos_sin_double,
+                       _row_pieces, format_feature_set, parse_feature_set)
 from .fileio import fmt, lines, load, located, parse_header, parse_row
 
-_CHUNK = 1024          # rows per feature-matrix chunk and norm resync
+_CHUNK = _PIECE_ROWS   # rows per feature-matrix chunk and norm resync
 _NSQ_GUARD = 1e-9      # relative band below radius^2 checked exactly
 _BLOCK = 64            # SGD steps per triangular solve
 _BLOCK_WIDTH = 128     # widest feature row (2M) trained in blocks
@@ -303,6 +304,13 @@ class Classifier:
         if self.config is not None:
             _check_feature_count(self.feature_set, self.config)
 
+    @property
+    def train_config(self) -> TrainConfig:
+        """``config``; ConfigError when the classifier carries none."""
+        if self.config is None:
+            raise ConfigError("the classifier carries no training config")
+        return self.config
+
 
 def predict(clf: Classifier, X) -> np.ndarray:
     """Real-valued predictions f(x) = phi(x) . alpha for each row of X.
@@ -323,14 +331,14 @@ def predict(clf: Classifier, X) -> np.ndarray:
     x86-64 host this form took 79.0 ms at 10 000 rows and 256 features
     against 57.5 ms with cos.
 
-    Rows are evaluated in pieces of 2^16 / M rows, rounded down to a
-    multiple of 8, in one reused buffer of about 2^16 values, so no (n, M)
-    matrix is held either.  The angle product pads the frequencies to a
-    multiple of _FREQ_ALIGN, so a row's angles are the same bits in any
-    piece of 2 or more rows and under any thread count (verified with
-    OpenBLAS 0.3.31 on x86-64).  A lone last row joins the piece before
-    it: numpy computes the angles of a single row by gemv, which rounds
-    differently from the gemm that computes them for several.  What still
+    Rows are evaluated in the pieces of ``features._row_pieces``: the
+    largest power of two of rows, from 8 to 1024, whose padded angles fit
+    in 2^16 values, with a lone last row joined to the piece before it.
+    They go into one reused buffer, so no (n, M) matrix is held either.
+    The angle product pads the frequencies to a multiple of _FREQ_ALIGN, so
+    a row's angles are the same bits in any piece of 2 or more rows and
+    under any thread count (verified with OpenBLAS 0.3.31 on x86-64); a
+    single row would go to gemv, which rounds differently.  What still
     ties a row's prediction to the rows around it is the amplitude dgemv:
     OpenBLAS splits its rows between threads and takes them in groups
     whose kernels round differently.  At M = 1, 32 and 256 a row matches
@@ -349,14 +357,10 @@ def predict(clf: Classifier, X) -> np.ndarray:
     amp = np.hypot(alpha[0::2], alpha[1::2])
     amp_twice, amp_sum = 2.0 * amp, amp.sum()
     out = np.empty(n)
-    # whole groups of 8 rows, as in 1024: gemv takes rows in groups, and
-    # a piece that ends inside one rounds its last rows differently
-    rows = max(8, _PIECE // m // 8 * 8)
-    bounds = [*range(0, n, rows), n]
-    if n > 1 and n % rows == 1:
-        del bounds[-2]
-    buf = np.empty((min(n, rows + 1), freqs.shape[0]))
-    for lo, hi in zip(bounds, bounds[1:]):
+    pieces = _row_pieces(n, freqs.shape[0])
+    buf = np.empty((max((hi - lo for lo, hi in pieces), default=0),
+                    freqs.shape[0]))
+    for lo, hi in pieces:
         h = buf[:hi - lo]
         _half_angles(fs, X[lo:hi], h, freqs)
         h -= half_phase
@@ -560,15 +564,14 @@ def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
             t += 1
 
     # rows too wide for blocks take their angles and feature rows a piece
-    # of about _PIECE feature values at a time, into buffers reused across
-    # pieces; narrower rows a whole chunk at a time, for the chunk's one
-    # dgemv of suffix weights.  Pieces are whole groups of 8 rows, and a
-    # chunk's last piece has an even count, as N does, so none is a lone
-    # row, whose angles gemv would round differently
+    # of each chunk at a time, cut by features._row_pieces, into buffers
+    # reused across pieces; narrower rows a whole chunk at a time, for the
+    # chunk's one dgemv of suffix weights.  N is even, as is every chunk,
+    # so no piece takes a lone last row or is longer than a whole chunk's
     wide = 2 * m > _BLOCK_WIDTH
-    piece = max(8, _PIECE // (2 * m) // 8 * 8) if wide else _CHUNK
     freqs = _padded_freqs(fs)
     width = freqs.shape[0]
+    piece = _row_pieces(_CHUNK, 2 * width)[0][1] if wide else _CHUNK
     angles = np.empty((min(n, piece), width))
     # wide pieces fill whole padded rows, as predict does, and a step reads
     # the first 2M values of its row; a chunk's rows stay 2M wide, for the
@@ -578,12 +581,11 @@ def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         if wide:
-            for p in range(lo, hi, piece):
-                q = min(p + piece, hi)
+            for p, q in _row_pieces(hi - lo, 2 * width):
                 h, Phi = angles[:q - p], features[:q - p]
-                _half_angles(fs, X[p:q], h, freqs)
+                _half_angles(fs, X[lo + p:lo + q], h, freqs)
                 _cos_sin_double(h, Phi[:, 0::2], Phi[:, 1::2])
-                steps(Phi[:, :2 * m], p, q)
+                steps(Phi[:, :2 * m], lo + p, lo + q)
             nsq = _exact_nsq(alpha, t - 1)
             continue
         h = _half_angles(fs, X[lo:hi], angles[:hi - lo], freqs)
@@ -731,7 +733,7 @@ _TRAIN_KINDS = {f.name: {"float": float, "int": int}[f.type]
 
 def format_classifier(clf: Classifier) -> str:
     train = " ".join(f"{k}={fmt(v) if kind is float else v}" for (k, kind), v
-                     in zip(_TRAIN_KINDS.items(), astuple(clf.config)))
+                     in zip(_TRAIN_KINDS.items(), astuple(clf.train_config)))
     coeffs = " ".join(fmt(a) for a in clf.alpha)
     return f"{format_feature_set(clf.feature_set)}# train {train}\n{coeffs}\n"
 

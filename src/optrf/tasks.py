@@ -348,7 +348,7 @@ def evaluate(task: SyntheticTask, clf: Classifier, X, y) -> dict[str, float]:
     The loss is taken at the classifier's training lam and q_min, reusing
     the predictions, to the same bits as regularized_empirical_loss.
     """
-    cfg = clf.config
+    cfg = clf.train_config
     fhat = predict(clf, X)
     fref = f_star(task, X)
     class_err = classification_error(fhat, y)
@@ -395,7 +395,7 @@ def metrics_record(task: SyntheticTask, clf: Classifier, trial: int, seed: int,
                    quality: dict[str, float], wall_ms: float) -> MetricsRecord:
     """The record of ``clf``: lam and N from its config, accept_rate from its
     feature set."""
-    fs, cfg = clf.feature_set, clf.config
+    fs, cfg = clf.feature_set, clf.train_config
     return MetricsRecord(
         task=task.name, mode=fs.mode, dim=task.dim, gamma=task.kern.gamma,
         delta=task.delta, lam=cfg.lam, m=fs.num_features,

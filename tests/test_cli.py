@@ -578,6 +578,10 @@ _DEFECTS = {
         "sweep-m", "--task", ws / "task.txt", "--m-grid", "2", "--n", 10,
         "--trials", 1, "--n-test", 50, "--sampler", "grid",
         "--bottom-raised", "true"],
+    # 20001^2 cells would take 16 GB of tables; refused before any is made
+    "grid-cells-over-budget": lambda ws, d: [
+        "sample-features", "--task", ws / "task.txt", "--m", 4,
+        "--n-unlabeled", 20, "--sampler", "grid", "--grid-cells", 20001],
     "accept-floor-above-one": lambda ws, d: [
         "sample-features", "--task", ws / "task.txt", "--accept-floor", 2],
     "delta-above-one": lambda ws, d: ["gen-task", "--delta", 1.5],
@@ -630,6 +634,7 @@ _FLAG_DEFECTS = {"m-grid-zero": "--m-grid", "m-grid-empty": "--m-grid",
                  "lam-grid-zero": "--lam-grid",
                  "train-q-min-above-one": "--q-min",
                  "accept-floor-above-one": "--accept-floor",
+                 "grid-cells-over-budget": "--grid-cells",
                  "delta-above-one": "--delta"}
 
 

@@ -1,5 +1,12 @@
+import functools
+import json
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,7 +16,8 @@ from scipy.special import ndtr
 
 from optrf import leverage
 from optrf.errors import ConfigError, SamplerAbort
-from optrf.features import FeatureSet, GaussianKernel, gram, sample_tau
+from optrf.features import (FeatureSet, GaussianKernel, _row_pieces, gram,
+                            sample_tau)
 from optrf.leverage import (
     SamplerDiagnostics,
     _BATCH,
@@ -31,7 +39,8 @@ from optrf.leverage import (
     unnormalized_leverage,
 )
 from optrf.store import build_tree
-from optrf.tasks import CellConfig, gen_inputs, make_sphere_task, resolve_lambda
+from optrf.tasks import (CellConfig, gen_inputs, make_sphere_task,
+                         make_subgaussian_task, resolve_lambda)
 
 KERN1 = GaussianKernel(gamma=1.0, dim=1)
 KERN2 = GaussianKernel(gamma=1.0, dim=2)
@@ -226,6 +235,28 @@ def test_lazy_scoring_matches_scoring_whole_batches(lam, m, bottom_raised,
     assert max(batches) == most_batches
 
 
+@functools.cache
+def _subgaussian_points(n0):
+    return gen_inputs(make_subgaussian_task(), n0, np.random.default_rng(n0))
+
+
+@pytest.mark.parametrize("rows", [5000, 4097])
+@pytest.mark.parametrize("n0", [50, 517, 1500])
+def test_lazy_scoring_is_whole_batch_scoring_at_many_distinct_rows(n0, rows):
+    # a proposal's q must not depend on where it sits in its batch: scored
+    # in the rejection sampler's chunks of _BATCH rows (4097 rows end on a
+    # lone row, which joins the chunk before it) or all at once, every
+    # value is the same bits
+    task = make_subgaussian_task()
+    model = build_spectral_model(_subgaussian_points(n0), task.kern, 0.01)
+    assert model.rows.shape[0] == n0
+    V = np.random.default_rng(1).normal(0, task.kern.tau_sigma, (rows, 2))
+    chunks = _row_pieces(rows, 1)
+    assert [hi - lo for lo, hi in chunks[:-1]] == [_BATCH] * (len(chunks) - 1)
+    lazy = [leverage_score(model, V[lo:hi]) for lo, hi in chunks]
+    assert np.array_equal(leverage_score(model, V), np.concatenate(lazy))
+
+
 def test_rejection_sampler_abort(line_model):
     env = q_max_bound(line_model)
     for raised in (False, True):
@@ -341,6 +372,22 @@ def test_grid_refuses_fewer_than_two_cells(dim, cells):
     with pytest.raises(ConfigError, match="cells_per_coord must be >= 2"):
         sample_optimized_grid(model, 10, np.random.default_rng(24),
                               cells_per_coord=cells)
+
+
+@pytest.mark.parametrize("dim, cells", [(1, (1 << 22) + 1), (2, 2049),
+                                        (2, 20001)])
+def test_grid_refuses_tables_past_the_cell_budget(dim, cells):
+    # refused before anything is allocated: 20001^2 cells would take 16 GB
+    pts = np.random.default_rng(23).normal(size=(10, dim))
+    model = build_spectral_model(pts, GaussianKernel(gamma=1.0, dim=dim), 0.1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError, match="at most 4194304 grid cells"):
+            tabulate_optimized_density(model, cells)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
 
 
 def test_grid_sampler_rejects_high_dimension():
@@ -540,10 +587,10 @@ def test_factor_rank_is_the_smallest_that_meets_the_bound(case, oracle_cases):
 @pytest.mark.parametrize("cells", [2, 3, 16, 17, 128])
 def test_grid_tabulation_is_leverage_at_cell_centers(case, dim, cells,
                                                      oracle_cases):
-    # the 1-D cases keep the points' first coordinate.  Half the grid is
-    # scored by leverage_score itself and the other half mirrored, since
-    # ell(-v) = ell(v): reversing the flat C-order index maps each center v
-    # to -v
+    # the 1-D cases keep the points' first coordinate.  The first half of
+    # the flat grid is scored by leverage_score itself and the rest
+    # mirrored, since ell(-v) = ell(v): reversing the flat C-order index
+    # maps each center v to -v
     points, kern, lam = oracle_cases[case]
     kern = GaussianKernel(gamma=kern.gamma, dim=dim)
     model = build_spectral_model(points[:, :dim], kern, lam)
@@ -558,9 +605,64 @@ def test_grid_tabulation_is_leverage_at_cell_centers(case, dim, cells,
     np.testing.assert_allclose(tab.probs, want / want.sum(), rtol=1e-12, atol=0)
     assert np.array_equal(tab.probs, tab.probs[::-1])
     assert np.array_equal(V[::-1], -V)
-    scored = (cells + 1) // 2 * cells ** (dim - 1)
+    scored = (cells ** dim + 1) // 2
     assert np.array_equal(_grid_score(model, centers)[:scored],
                           leverage_score(model, V[:scored]))
+
+
+# run with another kernel set's OpenBLAS: prints the core name, then the
+# cases whose scoring depends on its cut or whose grid is no palindrome
+_KERNEL_SET_CHECK = """\
+import ctypes, json, sys
+import numpy as np
+from optrf import sgd
+from optrf.features import GaussianKernel, _row_pieces
+from optrf.leverage import (build_spectral_model, leverage_score,
+                            tabulate_optimized_density)
+
+lib, suffix = sgd._openblas("numpy")
+core = getattr(lib, f"scipy_openblas_get_corename{suffix}")
+core.restype = ctypes.c_char_p
+print(core().decode())
+failed = []
+for name, (points, gamma, lam, cells) in json.load(open(sys.argv[1])).items():
+    model = build_spectral_model(np.array(points), GaussianKernel(gamma, 2),
+                                 lam)
+    V = np.random.default_rng(1).normal(0, model.kern.tau_sigma, (5000, 2))
+    lazy = [leverage_score(model, V[lo:hi]) for lo, hi in _row_pieces(5000, 1)]
+    if not np.array_equal(leverage_score(model, V), np.concatenate(lazy)):
+        failed.append(f"{name}:lazy")
+    for c in cells:
+        probs = tabulate_optimized_density(model, c).probs
+        if not np.array_equal(probs, probs[::-1]):
+            failed.append(f"{name}:grid-{c}")
+print(" ".join(failed) or "none")
+"""
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"),
+                    reason="OPENBLAS_CORETYPE names x86-64 kernel sets")
+def test_pieces_and_grid_mirror_hold_under_nehalem_kernels(oracle_cases,
+                                                          tmp_path):
+    # OPENBLAS_CORETYPE makes OpenBLAS run the kernels it would pick on
+    # another CPU.  Nehalem's gemm rounds a row by its place in the
+    # product, so scoring matches its chunks and the grid mirrors only by
+    # construction: one piece rule and a mirror by flat index
+    gamma = make_subgaussian_task().kern.gamma
+    cases = {f"subgaussian-{n0}": (_subgaussian_points(n0).tolist(), gamma,
+                                   0.01, []) for n0 in (50, 517, 1500)}
+    for case in ("distinct-sphere", "count-tree-repeats"):
+        points, kern, lam = oracle_cases[case]
+        cases[case] = (points.tolist(), kern.gamma, lam, [3, 17])
+    path = tmp_path / "cases.json"
+    path.write_text(json.dumps(cases))
+    src = str(Path(leverage.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c", _KERNEL_SET_CHECK, str(path)],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": src, "OPENBLAS_CORETYPE": "Nehalem"})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["Nehalem", "none"]
 
 
 @pytest.mark.parametrize("case", ["distinct-sphere", "count-tree-repeats",
@@ -601,9 +703,9 @@ def test_grid_tabulation_holds_no_full_trig_table():
 
 
 def test_grid_tabulation_scores_in_bounded_pieces():
-    # 128 cells: pieces of 2^16 trig values (1.5 MB for angles, cosines and
-    # sines) beside the 64 x 128 scored centers; chunks of 1024 rows would
-    # hold three 8 x 128 x 300 buffers, 7.4 MB
+    # 128 cells: pieces of 128 rows x 300 trig values (0.9 MB for angles,
+    # cosines and sines) beside the 64 x 128 scored centers; chunks of 1024
+    # rows would hold three 8 x 128 x 300 buffers, 7.4 MB
     pts = np.random.default_rng(34).normal(size=(300, 2))
     model = build_spectral_model(pts, KERN2, 0.01)
     tracemalloc.start()
@@ -616,8 +718,9 @@ def test_grid_tabulation_scores_in_bounded_pieces():
 
 
 def test_leverage_scoring_holds_one_piece_of_tables():
-    # a piece of 2^16 / n = 327 rows holds 1.6 MB of angles, cosines and
-    # sines; one chunk of 1024 rows would hold 4.9 MB
+    # a piece of 256 rows, the largest power of two within 2^16 / n = 327,
+    # holds 1.2 MB of angles, cosines and sines; one chunk of 1024 rows
+    # would hold 4.9 MB
     model = build_spectral_model(
         np.random.default_rng(35).normal(size=(200, 2)), KERN2, 0.01)
     V = sample_tau(KERN2, 1024, np.random.default_rng(36))

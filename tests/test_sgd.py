@@ -13,9 +13,10 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 
 import optrf
-from optrf import sgd
+from optrf import features
 from optrf.errors import ConfigError, StreamExhausted
-from optrf.features import _PIECE, FeatureSet, _cos_sin_double, feature_pair
+from optrf.features import (_PIECE, FeatureSet, _cos_sin_double, _row_pieces,
+                            feature_pair)
 from optrf.fileio import atomic_write, fmt
 from optrf.leverage import build_spectral_model, sample_optimized_rejection
 from optrf.sgd import (
@@ -41,6 +42,7 @@ from optrf.sgd import (
 )
 from optrf.tasks import (
     CellConfig,
+    evaluate,
     gen_inputs,
     labeled_arrays,
     make_sphere_task,
@@ -136,12 +138,12 @@ def _one_shot_predict(clf, X):
 
 @pytest.mark.parametrize("m", [1, 32, 256])
 def test_predict_in_pieces_is_the_one_shot_formula_to_the_bit(m):
-    # pieces of 2^16 / M rows; n = piece + 1 ends on a lone row, and
-    # n = 1023-1025 straddle 1024 rows
+    # n = piece + 1 ends on a lone row, and n = 1023-1025 straddle 1024
+    # rows
     fs = make_features(m, 2, seed=m, scale=1.0)
     rng = np.random.default_rng(m)
     clf = Classifier(feature_set=fs, alpha=rng.normal(size=2 * m))
-    piece = _PIECE // m
+    piece = _row_pieces(10_000, m)[0][1]
     for n in (0, 1, 1023, 1024, 1025, 10_000, piece, piece + 1, 2 * piece + 1):
         X = rng.normal(size=(n, 2))
         got = predict(clf, X)
@@ -262,7 +264,7 @@ def test_wide_training_in_pieces_equals_whole_chunks(m, monkeypatch):
                       q_min=1.0, f_norm=1.0)
     runs = []
     for piece in (_PIECE, 1 << 30):
-        monkeypatch.setattr(sgd, "_PIECE", piece)
+        monkeypatch.setattr(features, "_PIECE", piece)
         runs.append(train_arrays(fs, X, y, cfg, keep_iterates=True))
     (clf, trace), (clf_whole, trace_whole) = runs
     assert np.array_equal(clf.alpha, clf_whole.alpha)
@@ -278,6 +280,19 @@ def test_classifier_rejects_wrong_length():
     # a training config must be for the same feature count
     with pytest.raises(ConfigError, match="M=2 but config says 1"):
         Classifier(feature_set=fs, alpha=np.zeros(4), config=CFG)
+
+
+def test_classifier_without_config_cannot_be_written_or_evaluated():
+    # predict needs no config; the file format and the record's loss do
+    task = make_sphere_task()
+    fs = make_features(2, 2)
+    clf = Classifier(feature_set=fs, alpha=np.ones(4))
+    X = gen_inputs(task, 8, np.random.default_rng(0))
+    assert predict(clf, X).shape == (8,)
+    for use in (lambda: format_classifier(clf),
+                lambda: evaluate(task, clf, X, np.sign(X[:, 0]))):
+        with pytest.raises(ConfigError, match="carries no training config"):
+            use()
 
 
 def test_loss_by_hand():
