@@ -49,20 +49,40 @@ one dsyrk, one dtrsv and two dgemv.  Each step's residual is
 from a cumulative sum.  The block's iterates enter the suffix average as
 alpha_s times the sum of their R's plus a weight on each row, from a
 reverse cumulative sum; one more dgemv per chunk applies the weights.
-The block is cut at its first step whose tracked norm leaves
-[0, r^2 (1 - 1e-9)]: that step gets the exact check and the projection,
-and the next block starts after it.  R restarts at every block, and a block
-ends before R falls below 1e-30, so y / R stays finite.  Three kinds of
-steps run one at a time on level-1 BLAS instead:
+R restarts at every block, and a block ends before R falls below 1e-30,
+so y / R stays finite.
+
+Blocks run in groups.  A group first solves its blocks back to back, each
+from the alpha the one before left, keeping each block's alpha_s.  Then it
+does the bookkeeping once, over (blocks, 64) arrays: the products R and
+the cumulative sums run along rows, the block-start norms are chained as
+scalars, and the suffix daxpys run in block order, so every value comes
+from the same operations in the same order as one block at a time.  The
+first step whose tracked norm leaves [0, r^2 (1 - 1e-9)], or is not
+finite, cuts the group: the blocks before it stand, its own block applies
+its steps up to that one from its saved alpha_s, the step gets the exact
+check and the projection, and the group's later blocks are dropped.  A
+group holds the chunk's whole blocks left (or one block of its last
+steps), at most as many as its size, which is one block after each cut and
+doubles after each uncut group; a rises with t, so only a group's first
+block can reach the R floor, and a group whose first block does is that
+block alone.  At M = 32, N = 16384 (the learning curve's last point, 53
+projections), groups train in 4.6-4.9 ms, one block at a time took
+6.0-6.2 ms and single steps take 12.5-12.8 ms (min of 15 calls, six
+alternating rounds, one BLAS thread, 2-CPU host).  Three kinds of steps
+run one at a time on level-1 BLAS instead:
   - those with a <= 0, that is t + 1 <= 2 eta_c;
   - those within 16 steps of the last projection, where projections tend
     to come close together and would cut blocks short;
-  - all steps when 2M > 128, where the block's Gram product costs more
-    than the single steps it replaces: at M = 256, N = 2048, with blocks
-    forced, training took 10.0-14.5 ms against 7.3-12.5 ms in single
-    steps, and at M = 128 5.4-5.9 ms against 5.2-5.3 ms (three sets, each
-    the median of 5 alternating rounds of the min of 15 calls, one BLAS
-    thread, 2-CPU host).
+  - all steps when 2M > 128.  At N = 2048 (sphere task, conventional
+    features, schedule lambda), blocks take 1.11 ms against 1.81-1.83 ms
+    in single steps at M = 64, 1.75-1.78 against 2.23-2.24 ms at M = 128,
+    and, forced, 3.14-3.16 against 3.10-3.12 ms at M = 256 (three sets,
+    each the median of 5 alternating rounds of the min of 15 calls, one
+    BLAS thread, 2-CPU host).  Blocks would win at M = 128 too, but the
+    width stays at 128: moving it would change the rounding, and so the
+    records, of every run at the widths it passes, and would build their
+    chunks' feature rows whole.
 
 Prediction uses the amplitude-phase form of the same sum,
 f(x) = sum_k r_k cos(-2 pi v_k.x - p_k) with r_k = hypot(alpha_2k,
@@ -522,7 +542,13 @@ def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
     nsqs = np.empty(n)
     projected = []
     iterates = np.empty((n, 2 * m)) if keep_iterates else None
-    prod = np.ones(_BLOCK + 1)
+    # a group's decay products, start coefficients and scaled steps, one
+    # row per block, and the Gram matrix each block's dsyrk overwrites
+    prod = np.ones((_CHUNK // _BLOCK, _BLOCK + 1))
+    starts = np.empty((_CHUNK // _BLOCK, 2 * m))
+    solved = np.empty((_CHUNK // _BLOCK, _BLOCK))
+    grams = np.empty((_BLOCK, _BLOCK), order="F")
+    group = 1   # blocks in the next group
 
     # BLAS calls update alpha and suffix in place; on operands this small
     # they cost a fraction of the equivalent numpy expressions.  They are the
@@ -603,61 +629,106 @@ def train_arrays(fs: FeatureSet, X, y, cfg: TrainConfig,
             if t < start:
                 steps(Phi, lo, min(hi, start))
                 continue
+            # g blocks of k steps: whole blocks while one fits in the chunk,
+            # else one block of the chunk's last steps
             k = min(_BLOCK, hi - t)
+            g = max(1, min(group, (hi - t) // _BLOCK))
             r = t - lo
             # alpha_(t+j) = R_j beta_j with R_j = a_t ... a_(t+j-1); R
             # restarts at every block, so 1/R stays finite
-            np.multiply.accumulate(decay[t:t + k], out=prod[1:k + 1])
-            if prod[k] < _SCALE_FLOOR:
-                k = max(1, int((prod[1:k + 1] >= _SCALE_FLOOR).sum()))
-            before, scale = prod[:k], prod[1:k + 1]
-            rows = PhiT[:, r:r + k]
+            np.multiply.accumulate(decay[t:t + g * k].reshape(g, k), axis=1,
+                                   out=prod[:g, 1:k + 1])
+            # a rises with t, so only the first block's R can fall below the
+            # floor, and that block then runs alone, shortened
+            if prod[0, k] < _SCALE_FLOOR:
+                g, k = 1, max(1, int((prod[0, 1:k + 1] >= _SCALE_FLOOR).sum()))
+            n_steps = g * k
+            before, scale = prod[:g, :k], prod[:g, 1:k + 1]
             # (diag(a / 2 eta) + strictly-lower Phi Phi^T) d = y / R - Phi beta
-            target = y[t:t + k] / before
-            d = dgemv(-1.0, rows, alpha, beta=1.0, y=target, trans=1)
-            gram = dsyrk(1.0, rows, trans=1, lower=1)
-            gram.ravel("F")[::k + 1] = diag[t:t + k]
-            d = dtrsv(gram, d, lower=1, overwrite_x=1)
+            # for each block in turn, from the alpha the block before left;
+            # dsyrk writes the lower triangle, all that dtrsv reads
+            target = y[t:t + n_steps].reshape(g, k) / before
+            d = solved[:g, :k]
+            for b in range(g):
+                rows = PhiT[:, r + b * k:r + (b + 1) * k]
+                starts[b] = alpha
+                gram = dsyrk(1.0, rows, c=grams[:k, :k], trans=1, lower=1,
+                             overwrite_c=1)
+                gram.ravel("F")[::k + 1] = diag[t + b * k:t + (b + 1) * k]
+                d[b] = dtrsv(gram, dgemv(-1.0, rows, alpha, beta=1.0,
+                                         y=target[b], trans=1),
+                             lower=1, overwrite_x=1)
+                if b + 1 < g:
+                    alpha = dgemv(scale[b, -1], rows, d[b], beta=scale[b, -1],
+                                  y=alpha, overwrite_y=1)
             # beta_(j+1) = beta_j + d_j phi_j with phi_j . beta_j =
             # y_j / R_j - d_j a_j / 2 eta_j, so ||beta||^2 gains
             # d_j (2 y_j / R_j + (M - a_j / eta_j) d_j) at step j
-            nsq_after = d * (2.0 * target + coef[t:t + k] * d)
-            np.add.accumulate(nsq_after, out=nsq_after)
-            nsq_after += nsq
-            nsq_after *= scale * scale
-            cut = not (nsq_after.min() >= 0.0 and nsq_after.max() <= r2_guard)
-            if cut:
-                ok = (nsq_after >= 0.0) & (nsq_after <= r2_guard)
-                k = int(ok.argmin()) + 1
+            nsq_after = d * (2.0 * target
+                             + coef[t:t + n_steps].reshape(g, k) * d)
+            np.add.accumulate(nsq_after, axis=1, out=nsq_after)
+            sq = scale * scale
+            # entries of steps past a cut are written again when they run
+            nsqs_g = nsqs[t:t + n_steps].reshape(g, k)
+            nsqs_g[0, 0] = nsq
+            # each block starts from the last tracked norm of the one before
+            for b in range(1, g):
+                nsqs_g[b, 0] = ((nsq_after.item(b - 1, k - 1)
+                                 + nsqs_g.item(b - 1, 0))
+                                * sq.item(b - 1, k - 1))
+            nsq_after += nsqs_g[:, :1]
+            nsq_after *= sq
+            nsqs_g[:, 1:] = nsq_after[:, :-1]
             # pred_j - y_j = -R_(j+1) d_j / 2 eta_j
-            resids[t:t + k] = scale[:k] * neg_inv2eta[t:t + k] * d[:k]
-            nsqs[t] = nsq
-            nsqs[t + 1:t + k] = nsq_after[:k - 1]
+            resids_g = resids[t:t + n_steps].reshape(g, k)
+            np.multiply(scale, neg_inv2eta[t:t + n_steps].reshape(g, k),
+                        out=resids_g)
+            resids_g *= d
+            # the first step outside the band cuts the group: the blocks
+            # before it stand, the ones after it are dropped
+            ok = (nsq_after >= 0.0) & (nsq_after <= r2_guard)
+            kept = int(ok.argmin())
+            cut = not ok.item(kept)
+            kept = kept + 1 if cut else n_steps
+            g = -(-kept // k)
             # iterate j+1 = R_(j+1) (alpha + sum_(i<=j) d_i phi_i) joins the
-            # suffix for the steps first <= j < done; a cut step joins after
-            # its projection
-            done, first = k - cut, max(half - t, 0)
-            if done > first:
-                tail = np.add.accumulate(scale[first:done][::-1])[::-1]
-                weights[r:r + first] = tail[0] * d[:first]
-                weights[r + first:r + done] = tail * d[first:done]
-                suffix = daxpy(alpha, suffix, a=tail[0])
+            # suffix for the group's steps begin <= j < done; a cut step
+            # joins after its projection.  With R zeroed outside them, the
+            # reverse cumulative sums along the rows of blocks b0 ... b1-1
+            # are each block's tails to the bit, and a step of block b0
+            # before begin takes the tail at begin.
+            begin, done = max(half - t, 0), kept - cut
+            if done > begin:
+                b0, b1 = begin // k, -(-done // k)
+                live = scale[b0:b1].copy()
+                live[0, :begin - b0 * k] = 0.0
+                live[-1, done - (b1 - 1) * k:] = 0.0
+                tails = np.add.accumulate(live[:, ::-1], axis=1)[:, ::-1]
+                weights[r + b0 * k:r + done] = (
+                    tails * d[b0:b1]).ravel()[:done - b0 * k]
+                for b, tail in zip(range(b0, b1), tails[:, 0].tolist()):
+                    suffix = daxpy(starts[b], suffix, a=tail)
             if iterates is not None:
-                block = iterates[t:t + k]
-                np.cumsum(d[:k, None] * Phi[r:r + k], axis=0, out=block)
-                block += alpha
-                block *= scale[:k, None]
-            alpha = dgemv(scale[k - 1], rows[:, :k], d[:k], beta=scale[k - 1],
-                          y=alpha, overwrite_y=1)
-            t += k
+                block = iterates[t:t + g * k].reshape(g, k, -1)
+                np.cumsum(d[:g, :, None] * Phi[r:r + g * k].reshape(g, k, -1),
+                          axis=1, out=block)
+                block += starts[:g, None]
+                block *= scale[:g, :, None]
+            # the last block kept applies its steps up to the cut, if any
+            b, j = divmod(kept - 1, k)
+            alpha = dgemv(scale[b, j], PhiT[:, r + b * k:r + b * k + j + 1],
+                          d[b, :j + 1], beta=scale[b, j], y=starts[b])
+            t += kept
             if cut:
                 settle(t - 1)
                 if iterates is not None:
                     iterates[t - 1] = alpha
                 if t - 1 >= half:
                     suffix = daxpy(alpha, suffix)
+                group = 1
             else:
-                nsq = float(nsq_after[k - 1])
+                nsq = float(nsq_after[-1, -1])
+                group = min(2 * group, _CHUNK // _BLOCK)
         if weights.any():
             suffix = dgemv(1.0, PhiT, weights, beta=1.0, y=suffix,
                            overwrite_y=1)

@@ -220,6 +220,27 @@ def test_wide_training_takes_its_angles_a_piece_at_a_time():
     assert peak <= 1.5e6
 
 
+def test_block_groups_hold_scratch_for_one_chunk():
+    # M = 32, N = 16384, no projection: groups grow to a chunk's 16 blocks.
+    # An N-vector is 0.13 MB.  Eleven are live at the peak (five per-step
+    # constants, residuals, tracked norms, and the trace's t and loss with
+    # two temporaries), 1.44 MB, beside 0.79 MB of chunk buffers (1024 x 32
+    # angles, 1024 x 64 feature rows) and 57 KB of group scratch (16 x 65
+    # decay products, 16 x 64 start coefficients and steps, a 64 x 64 Gram
+    # matrix): 2.29 MB.  Scratch sized for the stream's 256 blocks would
+    # add 0.4 MB, and an N x 2M matrix 8.4 MB
+    fs, X, y, cfg = _sphere_run(32, 16384, 1.0)
+    train_arrays(fs, X, y, cfg)
+    tracemalloc.start()
+    try:
+        _, trace = train_arrays(fs, X, y, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not trace.projected.any()
+    assert peak <= 2.45e6
+
+
 @pytest.mark.parametrize("m", [1, 8, 196, 199, 255, 300, 301, 517])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_angles_of_a_few_rows_are_their_rows_of_a_long_product(m, d):
@@ -582,7 +603,8 @@ def assert_matches_reference(fs, X, y, cfg, keep_iterates):
     Vectors (alpha, each iterate) must agree to ORACLE_RTOL relative to
     their largest entry, the loss and alpha_norm columns entry by entry,
     and the step sizes and projection flags exactly.  The two entry points
-    of the new trainer must agree with each other to the bit.
+    of the new trainer must agree with each other to the bit, and so must
+    training with and without iterates kept.
     """
     pairs = list(zip(X, y))
     ref_clf, ref = _reference_train(fs, pairs, cfg, keep_iterates)
@@ -591,6 +613,11 @@ def assert_matches_reference(fs, X, y, cfg, keep_iterates):
     assert np.array_equal(via_pairs.alpha, clf.alpha)
     assert np.array_equal(pair_trace.loss, trace.loss)
     assert clf.config is via_pairs.config is cfg
+    other_clf, other = train_arrays(fs, X, y, cfg, not keep_iterates)
+    assert (other.iterates is None) is keep_iterates
+    assert np.array_equal(other_clf.alpha, clf.alpha)
+    for col in ("loss", "alpha_norm", "projected"):
+        assert np.array_equal(getattr(other, col), getattr(trace, col)), col
 
     def close(new, old):
         assert np.abs(new - old).max() <= ORACLE_RTOL * np.abs(old).max()
